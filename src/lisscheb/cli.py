@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -346,15 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    threads = os.environ.get("LISSCHEB_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("LISSCHEB_THREADS must be a positive integer",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

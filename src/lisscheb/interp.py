@@ -37,6 +37,8 @@ def _check_point(x: Sequence[float], dim: int) -> Sequence[float]:
     if len(x) != dim:
         raise DomainViolation(f"point has {len(x)} coordinates, expected {dim}")
     for xj in x:
+        if not math.isfinite(xj):
+            raise DomainViolation(f"coordinate {xj} is not finite")
         if abs(xj) > 1.0 + _DOMAIN_SLACK:
             raise DomainViolation(f"coordinate {xj} outside [-1, 1]")
     return [min(1.0, max(-1.0, float(xj))) for xj in x]
@@ -111,28 +113,32 @@ def kernel_eval(
     y = _check_point(y, spec.dim)
     tx = _cheb_tables(gs, x)
     ty = _cheb_tables(gs, y)
-    acc = 0.0
-    for pos, gamma in enumerate(gs):
-        term = 2.0 ** int(gs.e_counts[pos])
-        for j, gj in enumerate(gamma):
-            term *= tx[j][gj] * ty[j][gj]
-        acc += term
-    return acc
+    terms = np.ones(len(gs))
+    for j in range(spec.dim):
+        col = gs.elements[:, j]
+        terms *= tx[j][col] * ty[j][col]
+    return float(np.dot(np.exp2(gs.e_counts.astype(np.float64)), terms))
 
 
 def fundamental(spec: NodeSpec, i: MultiIndex) -> ChebExpansion:
     """The polynomial taking value 1 at node i and 0 at every other node.
 
-    Computed as the interpolant of the delta sample at i, which makes its
-    coefficients w_i chi_gamma(i) / ||chi_gamma||^2 explicit.
+    Its coefficients have the closed form w_i chi_gamma(i) / ||chi_gamma||^2,
+    with the column chi_gamma(i) over the whole spectral set taken from the
+    per-axis tables of transform.chi_matrix.
     """
     node_set = build_node_set(spec)
-    if tuple(i) not in node_set.lookup:
+    pos = node_set.lookup.get(tuple(i))
+    if pos is None:
         raise IndexOutOfRange(f"{i} is not in the index set")
-    values = {node.index: 0.0 for node in node_set.nodes}
-    values[tuple(i)] = 1.0
-    h = transform.SampleVector(spec=spec, values=values)
-    return transform.coefficients_naive(h, node_set=node_set)
+    gs = build_gamma(spec)
+    row = node_set.indices[pos : pos + 1]
+    chi = transform.chi_matrix(spec, gs.elements, row)[:, 0]
+    cvec = node_set.weights[pos] * chi / gs.norm_sq
+    return ChebExpansion(
+        gamma_set=gs,
+        coeffs={gamma: float(c) for gamma, c in zip(gs, cvec)},
+    )
 
 
 def expansion_inner_product(p: ChebExpansion, q: ChebExpansion) -> Scalar:

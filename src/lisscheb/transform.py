@@ -52,6 +52,22 @@ def chi_eval(spec: NodeSpec, gamma: SpectralIndex, i: MultiIndex) -> float:
     return out
 
 
+def chi_matrix(
+    spec: NodeSpec, gammas: np.ndarray, indices: np.ndarray
+) -> np.ndarray:
+    """Matrix X[p, k] = chi_{gammas[p]}(indices[k]) from per-axis tables.
+
+    Each axis tabulates cos(k pi / m_j) for k < 2 m_j with the exact angle
+    reduction of chi_eval and multiplies in the same axis order, so every
+    entry equals chi_eval bit for bit.
+    """
+    x = np.ones((gammas.shape[0], indices.shape[0]))
+    for j, mj in enumerate(spec.m):
+        table = np.array([cos_pi_ratio(k, mj) for k in range(2 * mj)])
+        x *= table[np.outer(gammas[:, j], indices[:, j]) % (2 * mj)]
+    return x
+
+
 def aligned_values(
     h: SampleVector, node_set: NodeSet
 ) -> np.ndarray:

@@ -29,20 +29,8 @@ class CheckResult:
 
 
 def _chi_matrix(spec: NodeSpec, gamma_set, node_set: NodeSet) -> np.ndarray:
-    """Matrix X[p, k] = chi_{gamma_p}(i_k), built from per-axis tables."""
-    from .trig import cos_pi_ratio
-
-    d = spec.dim
-    m = spec.m
-    tables = [
-        np.array([cos_pi_ratio(k, m[j]) for k in range(2 * m[j])])
-        for j in range(d)
-    ]
-    x = np.ones((len(gamma_set), len(node_set)))
-    for j in range(d):
-        prod = np.outer(gamma_set.elements[:, j], node_set.indices[:, j])
-        x *= tables[j][prod % (2 * m[j])]
-    return x
+    """Matrix X[p, k] = chi_{gamma_p}(i_k) over the spectral and node sets."""
+    return transform.chi_matrix(spec, gamma_set.elements, node_set.indices)
 
 
 def suite_orthogonality(
@@ -145,7 +133,7 @@ def suite_quadrature(
         )
     )
     box = [2 * mj - 1 for mj in spec.m]
-    table = quad.exactness_table(spec, box)
+    table = quad.exactness_table(spec, box, node_set=node_set)
     bad = [g for g, entry in table.items() if not entry.ok]
     results.append(
         CheckResult(

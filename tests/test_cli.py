@@ -159,16 +159,6 @@ def test_verify_exit_codes(capsys):
     assert "[FAIL]" in out
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("LISSCHEB_THREADS", "0")
-    assert run(["nodes", "--n", "5,3"]) == 1
-    monkeypatch.setenv("LISSCHEB_THREADS", "abc")
-    assert run(["nodes", "--n", "5,3"]) == 1
-    monkeypatch.setenv("LISSCHEB_THREADS", "4")
-    assert run(["nodes", "--n", "5,3"]) == 0
-    capsys.readouterr()
-
-
 def test_outputs_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -16,7 +16,7 @@ from lisscheb.interp import (
 )
 from lisscheb.nodes import NodeSpec, build_node_set
 from lisscheb.spectral import build_gamma
-from lisscheb.transform import SampleVector, chi_eval
+from lisscheb.transform import SampleVector, chi_eval, coefficients_naive
 
 N53 = validate_pairwise_coprime((5, 3))
 
@@ -54,6 +54,21 @@ def test_domain_violation():
         cheb_T_eval((1, 1), (0.0,))
     # a point within roundoff slack of the boundary is clamped, not rejected
     assert cheb_T_eval((2,), (1.0 + 1e-14,)) == pytest.approx(1.0)
+
+
+def test_non_finite_coordinates_rejected():
+    spec = NodeSpec(n=N53)
+    gs = build_gamma(spec)
+    p = ChebExpansion(gamma_set=gs, coeffs={(2, 1): 3.0})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainViolation):
+            cheb_T_eval((1, 1), (bad, 0.5))
+        with pytest.raises(DomainViolation):
+            expansion_eval(p, (0.5, bad))
+        with pytest.raises(DomainViolation):
+            kernel_eval(spec, (bad, 0.5), (0.1, 0.2))
+        with pytest.raises(DomainViolation):
+            kernel_eval(spec, (0.1, 0.2), (0.5, bad))
 
 
 def test_expansion_eval_simple():
@@ -138,6 +153,30 @@ def test_kernel_symmetry_and_corner_value():
     assert kernel_eval(spec1, (1.0,), (1.0,)) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NodeSpec(n=validate_pairwise_coprime((5, 3, 2))),
+        NodeSpec(n=validate_pairwise_coprime((3, 1, 2)), kappa=(0, 1, 1)),
+    ],
+)
+def test_kernel_matches_direct_sum(spec):
+    gs = build_gamma(spec)
+    rng = np.random.default_rng(30)
+    for _ in range(5):
+        x = tuple(rng.uniform(-1, 1, size=spec.dim))
+        y = tuple(rng.uniform(-1, 1, size=spec.dim))
+        direct = sum(
+            2.0 ** int(gs.e_counts[pos])
+            * cheb_T_eval(gamma, x)
+            * cheb_T_eval(gamma, y)
+            for pos, gamma in enumerate(gs)
+        )
+        assert kernel_eval(spec, x, y) == pytest.approx(
+            direct, rel=1e-12, abs=1e-12
+        )
+
+
 def test_kernel_reproduces_space_members():
     # The kernel section at y, written as an expansion with coefficients
     # 2^e T_gamma(y), evaluates consistently and reproduces any member of
@@ -181,6 +220,28 @@ def test_fundamental_delta_property(spec):
             assert expansion_eval(L, node.point) == pytest.approx(
                 want, abs=1e-11
             )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NodeSpec(n=N53),
+        NodeSpec(n=validate_pairwise_coprime((7, 5, 3, 2))),
+        NodeSpec(n=N53, kappa=(0, 1)),
+        NodeSpec(n=validate_pairwise_coprime((9, 7)), kappa=(1, 0)),
+    ],
+)
+def test_fundamental_matches_delta_interpolant(spec):
+    ns = build_node_set(spec)
+    for pos in (0, 1, len(ns) // 2, len(ns) - 1):
+        i = ns.nodes[pos].index
+        values = {node.index: 0.0 for node in ns.nodes}
+        values[i] = 1.0
+        oracle = coefficients_naive(SampleVector(spec=spec, values=values))
+        L = fundamental(spec, i)
+        assert L.coeffs.keys() == oracle.coeffs.keys()
+        for gamma, c in oracle.coeffs.items():
+            assert abs(L.coeffs[gamma] - c) <= 1e-14
 
 
 def test_fundamental_partition_of_unity():
