@@ -190,8 +190,13 @@ def _read_samples(spec: NodeSpec, path: str) -> transform.SampleVector:
                 raise LisschebError(
                     f"expected {d} index columns plus a value, got {len(row)}"
                 )
-            idx = tuple(int(c) for c in row[:d])
-            values[idx] = float(row[d])
+            try:
+                idx = tuple(int(c) for c in row[:d])
+                values[idx] = float(row[d])
+            except ValueError as exc:
+                raise LisschebError(
+                    f"{path}, line {reader.line_num}: {exc}"
+                ) from None
     node_set = build_node_set(spec)
     missing = set(node_set.lookup) - set(values)
     extra = set(values) - set(node_set.lookup)
@@ -226,15 +231,23 @@ def cmd_interp(args: argparse.Namespace) -> int:
 
 def _load_expansion(path: str):
     with open(path) as handle:
-        payload = json.load(handle)
-    n = validate_pairwise_coprime(payload["n"])
-    kappa = payload.get("kappa")
-    spec = NodeSpec(n=n, kappa=tuple(kappa) if kappa is not None else None)
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:
+            raise LisschebError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        n = validate_pairwise_coprime(payload["n"])
+        kappa = payload.get("kappa")
+        spec = NodeSpec(n=n, kappa=tuple(kappa) if kappa is not None else None)
+        entries = payload["coefficients"]
+        coeffs = {
+            tuple(entry["gamma"]): float(entry["value"]) for entry in entries
+        }
+    except KeyError as exc:
+        raise LisschebError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise LisschebError(f"{path}: malformed expansion: {exc}") from None
     gs = build_gamma(spec)
-    coeffs = {
-        tuple(entry["gamma"]): float(entry["value"])
-        for entry in payload["coefficients"]
-    }
     unknown = set(coeffs) - set(gs.lookup)
     if unknown:
         raise LisschebError(
@@ -250,7 +263,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         reader = csv.reader(handle)
         next(reader, None)
         for row in reader:
-            x = [float(c) for c in row]
+            try:
+                x = [float(c) for c in row]
+            except ValueError as exc:
+                raise LisschebError(
+                    f"{args.points}, line {reader.line_num}: {exc}"
+                ) from None
             value = interp.expansion_eval(expansion, x)
             rows_out.append([_fmt(c) for c in x] + [_fmt(value)])
     header = [f"x_{j + 1}" for j in range(spec.dim)] + ["value"]

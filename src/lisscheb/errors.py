@@ -51,7 +51,8 @@ class NotInGammaSet(LisschebError):
 
 
 class DomainViolation(LisschebError):
-    """An evaluation point lies outside the closed unit cube."""
+    """An evaluation point lies outside the closed unit cube, or a point or
+    sample value is not finite."""
 
 
 class SpecMismatch(LisschebError):

@@ -3,25 +3,29 @@
 The basis functions chi_gamma(i) = prod_j cos(gamma_j i_j pi / m_j) are
 orthogonal under the weighted counting measure on the index set.  The
 coefficients of a sample vector in that basis are computed twice: a direct
-double loop kept permanently as the reference oracle, and a fast path that
-embeds the weighted samples into the full grid and runs an
-endpoint-inclusive cosine transform along each axis via a real FFT of the
-mirror extension.
+sum c = X (w h) / ||chi||^2 with the chi matrix X, evaluated in row blocks
+from exact per-axis cosine tables and kept permanently as the reference
+oracle, and a fast path that embeds the weighted samples into the full grid
+and runs an endpoint-inclusive cosine transform along each axis via a real
+FFT of the mirror extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from .errors import SpecMismatch
+from .errors import DomainViolation, IndexOutOfRange, SpecMismatch
 from .nodes import MultiIndex, NodeSet, NodeSpec, build_node_set
 from .spectral import GammaSet, SpectralIndex, build_gamma
 from .trig import cos_pi_ratio
 
 Scalar = Union[float, complex]
+
+# Largest number of chi-matrix entries coefficients_naive holds at once.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,18 +56,30 @@ def chi_eval(spec: NodeSpec, gamma: SpectralIndex, i: MultiIndex) -> float:
     return out
 
 
+def chi_tables(spec: NodeSpec) -> List[np.ndarray]:
+    """Per-axis tables cos(k pi / m_j), k < 2 m_j, with exact angle reduction."""
+    return [
+        np.array([cos_pi_ratio(k, mj) for k in range(2 * mj)])
+        for mj in spec.m
+    ]
+
+
 def chi_matrix(
-    spec: NodeSpec, gammas: np.ndarray, indices: np.ndarray
+    spec: NodeSpec,
+    gammas: np.ndarray,
+    indices: np.ndarray,
+    tables: Optional[List[np.ndarray]] = None,
 ) -> np.ndarray:
     """Matrix X[p, k] = chi_{gammas[p]}(indices[k]) from per-axis tables.
 
-    Each axis tabulates cos(k pi / m_j) for k < 2 m_j with the exact angle
-    reduction of chi_eval and multiplies in the same axis order, so every
-    entry equals chi_eval bit for bit.
+    Each axis looks up its chi_tables entry and multiplies in the same axis
+    order as chi_eval, so every entry equals chi_eval bit for bit.  Pass
+    ``tables`` to reuse them across blocks of one spec.
     """
+    if tables is None:
+        tables = chi_tables(spec)
     x = np.ones((gammas.shape[0], indices.shape[0]))
-    for j, mj in enumerate(spec.m):
-        table = np.array([cos_pi_ratio(k, mj) for k in range(2 * mj)])
+    for j, (table, mj) in enumerate(zip(tables, spec.m)):
         x *= table[np.outer(gammas[:, j], indices[:, j]) % (2 * mj)]
     return x
 
@@ -71,19 +87,33 @@ def chi_matrix(
 def aligned_values(
     h: SampleVector, node_set: NodeSet
 ) -> np.ndarray:
-    """Order the sample dict along the node set, validating its domain."""
+    """Order the sample dict along the node set, validating its domain.
+
+    Raises IndexOutOfRange for a sample count or index that does not match
+    the node set and DomainViolation for a NaN or infinite sample.
+    """
     if h.spec != node_set.spec:
         raise SpecMismatch("sample vector and node set use different specs")
     n = len(node_set)
     if len(h.values) != n:
-        raise KeyError(
+        raise IndexOutOfRange(
             f"sample vector has {len(h.values)} entries, expected {n}"
         )
     is_complex = any(isinstance(v, complex) for v in h.values.values())
     out = np.empty(n, dtype=np.complex128 if is_complex else np.float64)
     lookup = node_set.lookup
-    for key, val in h.values.items():
-        out[lookup[key]] = val
+    try:
+        for key, val in h.values.items():
+            out[lookup[key]] = val
+    except KeyError:
+        raise IndexOutOfRange(
+            f"sample index {key} is not in the index set"
+        ) from None
+    finite = np.isfinite(out)
+    if not finite.all():
+        pos = int(np.argmin(finite))
+        bad = tuple(int(v) for v in node_set.indices[pos])
+        raise DomainViolation(f"sample {out[pos]} at node {bad} is not finite")
     return out
 
 
@@ -125,10 +155,12 @@ def coefficients_naive(
     node_set: Optional[NodeSet] = None,
     gamma_set: Optional[GammaSet] = None,
 ):
-    """Basis coefficients by the direct double loop; the reference oracle.
+    """Basis coefficients by the direct sum; the reference oracle.
 
     c_gamma = <h, chi_gamma> / ||chi_gamma||^2 with the discrete inner
-    product; every chi value goes through the exact angle reduction.
+    product, evaluated as c = X (w h) / ||chi||^2 with no FFT.  The chi
+    matrix X is built from the exact per-axis tables in blocks of at most
+    _BLOCK_ENTRIES entries, so time is O(N^2) and memory is bounded.
     """
     from . import interp
 
@@ -136,17 +168,23 @@ def coefficients_naive(
         node_set = build_node_set(h.spec)
     if gamma_set is None:
         gamma_set = build_gamma(h.spec)
-    vals = aligned_values(h, node_set)
-    weights = node_set.weights
-    index_rows = [tuple(int(v) for v in row) for row in node_set.indices]
-
-    coeffs: Dict[SpectralIndex, Scalar] = {}
-    for pos, gamma in enumerate(gamma_set):
-        acc = 0.0
-        for k, idx in enumerate(index_rows):
-            acc = acc + weights[k] * vals[k] * chi_eval(h.spec, gamma, idx)
-        coeffs[gamma] = acc / gamma_set.norm_sq[pos]
-    return interp.ChebExpansion(gamma_set=gamma_set, coeffs=coeffs)
+    wv = node_set.weights * aligned_values(h, node_set)
+    tables = chi_tables(h.spec)
+    n = len(node_set)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    cols = min(n, _BLOCK_ENTRIES)
+    acc = np.zeros(len(gamma_set), dtype=wv.dtype)
+    for r in range(0, len(gamma_set), rows):
+        gammas = gamma_set.elements[r : r + rows]
+        for k in range(0, n, cols):
+            x = chi_matrix(
+                h.spec, gammas, node_set.indices[k : k + cols], tables
+            )
+            acc[r : r + rows] += x @ wv[k : k + cols]
+    cvec = acc / gamma_set.norm_sq
+    return interp.ChebExpansion(
+        gamma_set=gamma_set, coeffs=dict(zip(gamma_set, cvec.tolist()))
+    )
 
 
 def embed_grid(h: SampleVector, node_set: NodeSet) -> GridTensor:

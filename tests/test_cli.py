@@ -135,6 +135,59 @@ def test_interp_rejects_bad_data(tmp_path):
     assert run(["interp", "--n", "5,3", "--data", str(data)]) == 1
 
 
+def _assert_clean_error(capsys, code, *needles):
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    for needle in needles:
+        assert needle in captured.err
+
+
+def test_non_finite_data_exit_1(tmp_path, capsys):
+    spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
+    data, _ = _write_node_data(tmp_path, spec, lambda x: 1.0)
+    lines = data.read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",nan"
+    data.write_text("\n".join(lines) + "\n")
+    for command in ("quad", "interp"):
+        code = run([command, "--n", "5,3", "--data", str(data)])
+        _assert_clean_error(capsys, code, "(1, 3)", "not finite")
+
+
+def test_non_integer_index_cell_exit_1(tmp_path, capsys):
+    spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
+    data, _ = _write_node_data(tmp_path, spec, lambda x: 1.0)
+    lines = data.read_text().splitlines()
+    lines[3] = "1.5," + lines[3].split(",", 1)[1]
+    data.write_text("\n".join(lines) + "\n")
+    for command in ("quad", "interp"):
+        code = run([command, "--n", "5,3", "--data", str(data)])
+        _assert_clean_error(capsys, code, str(data), "line 4")
+
+
+def test_eval_non_numeric_points_exit_1(tmp_path, capsys):
+    spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
+    data, _ = _write_node_data(tmp_path, spec, lambda x: x[0])
+    expansion = tmp_path / "expansion.json"
+    assert run([
+        "interp", "--n", "5,3", "--data", str(data), "--out", str(expansion),
+    ]) == 0
+    points = tmp_path / "points.csv"
+    points.write_text("x_1,x_2\n0.1,0.2\n0.3,abc\n")
+    code = run(["eval", "--expansion", str(expansion), "--points", str(points)])
+    _assert_clean_error(capsys, code, str(points), "line 3")
+
+
+def test_eval_expansion_missing_key_exit_1(tmp_path, capsys):
+    expansion = tmp_path / "expansion.json"
+    expansion.write_text(json.dumps({"n": [5, 3], "kappa": None}))
+    points = tmp_path / "points.csv"
+    points.write_text("x_1,x_2\n0.1,0.2\n")
+    code = run(["eval", "--expansion", str(expansion), "--points", str(points)])
+    _assert_clean_error(capsys, code, str(expansion), "'coefficients'")
+
+
 def test_quad_command(tmp_path, capsys):
     spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
     data, _ = _write_node_data(tmp_path, spec, lambda x: 1.0)

@@ -1,14 +1,20 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lisscheb import transform, verify
 from lisscheb.congruence import validate_pairwise_coprime
-from lisscheb.errors import SpecMismatch
+from lisscheb.errors import DomainViolation, IndexOutOfRange, SpecMismatch
+from lisscheb.interp import interpolate
 from lisscheb.nodes import NodeSpec, build_node_set
+from lisscheb.quad import integrate
 from lisscheb.spectral import build_gamma
 from lisscheb.transform import (
     SampleVector,
+    aligned_values,
     alias_integral,
     chi_eval,
     coefficients_fast,
@@ -26,6 +32,31 @@ ALL_SPECS = [
     NodeSpec(n=validate_pairwise_coprime(nv), kappa=kv)
     for nv, kv in [((5, 3), (0, 1)), ((5, 3), (0, 0)), ((3, 1, 2), (0, 0, 0))]
 ]
+
+
+SHIFTED_13_11 = NodeSpec(n=validate_pairwise_coprime((13, 11)), kappa=(0, 1))
+
+# The specs of the verify_audit benchmark workload, plus shifted (13, 11).
+ORACLE_SPECS = [
+    NodeSpec(n=validate_pairwise_coprime((7, 5, 3, 2))),
+    NodeSpec(n=validate_pairwise_coprime((17, 16))),
+    NodeSpec(n=validate_pairwise_coprime((9, 7)), kappa=(0, 1)),
+    SHIFTED_13_11,
+]
+
+
+def loop_naive(h, node_set, gamma_set):
+    """The per-pair oracle: sum_k w_k h(i_k) chi_eval(gamma, i_k) / norm."""
+    vals = aligned_values(h, node_set)
+    weights = node_set.weights
+    index_rows = [tuple(int(v) for v in row) for row in node_set.indices]
+    coeffs = {}
+    for pos, gamma in enumerate(gamma_set):
+        acc = 0.0
+        for k, idx in enumerate(index_rows):
+            acc = acc + weights[k] * vals[k] * chi_eval(h.spec, gamma, idx)
+        coeffs[gamma] = acc / gamma_set.norm_sq[pos]
+    return coeffs
 
 
 def constant_samples(spec, value=1.0):
@@ -216,3 +247,90 @@ def test_embed_grid_shape_and_mass():
     # off-pattern grid positions stay zero
     assert tensor.array[0, 1] == 0.0
     assert np.count_nonzero(tensor.array) == len(ns)
+
+
+def _max_relative_deviation(got, want):
+    scale = max(abs(v) for v in want.values())
+    return max(abs(got[gamma] - c) for gamma, c in want.items()) / scale
+
+
+@pytest.mark.parametrize(
+    "spec, complex_valued",
+    [(spec, False) for spec in ORACLE_SPECS] + [(ORACLE_SPECS[2], True)],
+)
+def test_naive_matches_loop_oracle(spec, complex_valued):
+    ns = build_node_set(spec)
+    gs = build_gamma(spec)
+    h = random_samples(spec, np.random.default_rng(31), complex_valued)
+    naive = coefficients_naive(h, node_set=ns, gamma_set=gs)
+    assert list(naive.coeffs) == list(gs)
+    kind = complex if complex_valued else float
+    assert all(type(c) is kind for c in naive.coeffs.values())
+    assert _max_relative_deviation(naive.coeffs, loop_naive(h, ns, gs)) < 1e-14
+
+
+def test_suite_transform_catches_scaled_coefficient(monkeypatch):
+    spec = ORACLE_SPECS[2]
+    assert all(r.passed for r in verify.suite_transform(spec))
+    original = transform.coefficients_fast
+
+    def scaled(*args, **kwargs):
+        p = original(*args, **kwargs)
+        top = max(p.coeffs, key=lambda gamma: abs(p.coeffs[gamma]))
+        p.coeffs[top] *= 1.0 + 1e-9
+        return p
+
+    monkeypatch.setattr(transform, "coefficients_fast", scaled)
+    results = verify.suite_transform(spec)
+    assert results and not any(r.passed for r in results)
+
+
+def test_transform_suite_scales():
+    start = time.perf_counter()
+    results = verify.run_suites(SHIFTED_13_11, ("transform",))
+    elapsed = time.perf_counter() - start
+    assert all(r.passed for r in results)
+    assert elapsed < 0.5
+
+
+def test_naive_memory_is_blocked():
+    spec = NodeSpec(n=validate_pairwise_coprime((61, 60)))
+    ns = build_node_set(spec)
+    gs = build_gamma(spec)
+    h = random_samples(spec, np.random.default_rng(33))
+    n = len(ns)
+    assert n == 1891
+    tracemalloc.start()
+    try:
+        coefficients_naive(h, node_set=ns, gamma_set=gs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
+
+
+def test_unknown_sample_index_rejected():
+    spec = NodeSpec(n=N53)
+    values = dict(constant_samples(spec).values)
+    values.pop((0, 0))
+    values[(99, 99)] = 1.0
+    with pytest.raises(IndexOutOfRange, match=r"\(99, 99\)"):
+        discrete_integral(SampleVector(spec=spec, values=values))
+    values.pop((99, 99))
+    with pytest.raises(IndexOutOfRange, match="11 entries, expected 12"):
+        coefficients_fast(SampleVector(spec=spec, values=values))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_non_finite_samples_rejected(bad):
+    spec = NodeSpec(n=N53)
+    values = dict(constant_samples(spec).values)
+    values[(1, 3)] = bad
+    h = SampleVector(spec=spec, values=values)
+    for op in (
+        integrate,
+        interpolate,
+        lambda h: interpolate(h, mode="naive"),
+    ):
+        with pytest.raises(DomainViolation, match=r"\(1, 3\)"):
+            op(h)
