@@ -197,14 +197,6 @@ def _read_samples(spec: NodeSpec, path: str) -> transform.SampleVector:
                 raise LisschebError(
                     f"{path}, line {reader.line_num}: {exc}"
                 ) from None
-    node_set = build_node_set(spec)
-    missing = set(node_set.lookup) - set(values)
-    extra = set(values) - set(node_set.lookup)
-    if missing or extra:
-        raise LisschebError(
-            f"data indices do not match the spec: {len(missing)} missing, "
-            f"{len(extra)} unknown"
-        )
     return transform.SampleVector(spec=spec, values=values)
 
 
@@ -224,7 +216,7 @@ def _expansion_payload(spec: NodeSpec, expansion) -> dict:
 def cmd_interp(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     h = _read_samples(spec, args.data)
-    expansion = interp.interpolate(h, mode=args.mode)
+    expansion = interp.interpolate(h)
     _write_json(args.out, _expansion_payload(spec, expansion))
     return EXIT_OK
 
@@ -253,7 +245,7 @@ def _load_expansion(path: str):
         raise LisschebError(
             f"{len(unknown)} coefficients outside the spectral set"
         )
-    return spec, interp.ChebExpansion(gamma_set=gs, coeffs=coeffs)
+    return spec, transform.ChebExpansion(gamma_set=gs, coeffs=coeffs)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -336,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interp", help="interpolate node data")
     _add_spec_flags(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=("fast", "naive"), default="fast")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_interp)
 

@@ -8,6 +8,7 @@ rest on these primitives being bit-exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
@@ -15,6 +16,7 @@ from .errors import (
     CoprimalityViolation,
     EmptyDimension,
     IncompatibleCongruences,
+    InvalidParameter,
     OverflowDimension,
     ZeroEntry,
 )
@@ -50,14 +52,28 @@ class DimensionVector:
         return self.entries[i]
 
 
+def integer_tuple(values: Iterable[int], what: str) -> Tuple[int, ...]:
+    """The values as a tuple of Python ints.
+
+    Python and numpy integers are accepted; anything else (a float, a
+    string, a bool) raises InvalidParameter instead of being truncated.
+    """
+    out = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise InvalidParameter(f"{what} entries must be integers, got {v!r}")
+        out.append(int(v))
+    return tuple(out)
+
+
 def validate_pairwise_coprime(entries: Iterable[int]) -> DimensionVector:
     """Validate a frequency vector and populate its derived products.
 
-    Raises EmptyDimension, ZeroEntry, CoprimalityViolation or
-    OverflowDimension on invalid input.  Indices in CoprimalityViolation
+    Raises InvalidParameter, EmptyDimension, ZeroEntry, CoprimalityViolation
+    or OverflowDimension on invalid input.  Indices in CoprimalityViolation
     are 1-based to match the usual n_1..n_d naming.
     """
-    entries = tuple(int(e) for e in entries)
+    entries = integer_tuple(entries, "frequency")
     if not entries:
         raise EmptyDimension("frequency vector must be non-empty")
     for e in entries:

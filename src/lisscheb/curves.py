@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .congruence import DimensionVector, crt_solve
-from .errors import IndexOutOfRange, InvalidRange, ZeroEntry
+from .congruence import DimensionVector, crt_solve, integer_tuple
+from .errors import IndexOutOfRange, InvalidParameter, InvalidRange, ZeroEntry
 from .trig import cos_pi_ratio
 
 Point = Tuple[float, ...]
@@ -32,11 +32,11 @@ class GeneralCurve:
         if not self.q:
             raise ZeroEntry("frequency tuple must be non-empty")
         if len(self.alpha) != len(self.q) or len(self.u) != len(self.q):
-            raise ValueError("q, alpha and u must have equal length")
+            raise InvalidParameter("q, alpha and u must have equal length")
         if math.gcd(*self.q) != 1:
-            raise ValueError("frequencies must have overall gcd 1")
+            raise InvalidParameter("frequencies must have overall gcd 1")
         if any(s not in (-1, 1) for s in self.u):
-            raise ValueError("signs must be -1 or +1")
+            raise InvalidParameter("signs must be -1 or +1")
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,13 @@ class LCCurve:
 
     def __post_init__(self):
         if self.epsilon not in (1, 2):
-            raise ValueError("epsilon must be 1 or 2")
+            raise InvalidParameter("epsilon must be 1 or 2")
         d = self.n.dim
+        integer_tuple(self.kappa, "kappa")
         if len(self.kappa) != d or len(self.u) != d:
-            raise ValueError("kappa and u must match the dimension of n")
+            raise InvalidParameter("kappa and u must match the dimension of n")
         if any(s not in (-1, 1) for s in self.u):
-            raise ValueError("signs must be -1 or +1")
+            raise InvalidParameter("signs must be -1 or +1")
 
     @property
     def dim(self) -> int:

@@ -26,7 +26,13 @@ class CoprimalityViolation(LisschebError):
 
 
 class OverflowDimension(LisschebError):
-    """Products derived from the frequency vector exceed 64-bit range."""
+    """Products derived from the frequency vector exceed 64-bit range, or
+    the grid box a spec needs exceeds the allocation limit."""
+
+
+class InvalidParameter(LisschebError, ValueError):
+    """A frequency, shift or sign vector has a wrong length, a non-integer
+    entry or a value outside its admissible set."""
 
 
 class IncompatibleCongruences(LisschebError):

@@ -10,27 +10,18 @@ be inspected, serialized and re-evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DomainViolation, IndexOutOfRange, SpecMismatch
 from .nodes import MultiIndex, NodeSpec, build_node_set
 from .spectral import GammaSet, SpectralIndex, build_gamma
-from . import transform
+from .transform import ChebExpansion, SampleVector, chi_matrix, coefficients_fast
 
 Scalar = Union[float, complex]
 
 _DOMAIN_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class ChebExpansion:
-    """A polynomial written in the spectral basis of a spec."""
-
-    gamma_set: GammaSet
-    coeffs: Dict[SpectralIndex, Scalar]
 
 
 def _check_point(x: Sequence[float], dim: int) -> Sequence[float]:
@@ -91,13 +82,13 @@ def expansion_eval(p: ChebExpansion, x: Sequence[float]) -> Scalar:
     return acc
 
 
-def interpolate(h: transform.SampleVector, mode: str = "fast") -> ChebExpansion:
-    """The unique polynomial in the spec's space matching h at every node."""
-    if mode == "fast":
-        return transform.coefficients_fast(h)
-    if mode == "naive":
-        return transform.coefficients_naive(h)
-    raise ValueError(f"unknown mode {mode!r}")
+def interpolate(h: SampleVector) -> ChebExpansion:
+    """The unique polynomial in the spec's space matching h at every node.
+
+    Its coefficients come from the fast cosine transforms;
+    transform.coefficients_naive is the direct-sum oracle for them.
+    """
+    return coefficients_fast(h)
 
 
 def kernel_eval(
@@ -125,7 +116,7 @@ def fundamental(spec: NodeSpec, i: MultiIndex) -> ChebExpansion:
 
     Its coefficients have the closed form w_i chi_gamma(i) / ||chi_gamma||^2,
     with the column chi_gamma(i) over the whole spectral set taken from the
-    per-axis tables of transform.chi_matrix.
+    per-axis tables of nodes.chi_tables.
     """
     node_set = build_node_set(spec)
     pos = node_set.lookup.get(tuple(i))
@@ -133,7 +124,7 @@ def fundamental(spec: NodeSpec, i: MultiIndex) -> ChebExpansion:
         raise IndexOutOfRange(f"{i} is not in the index set")
     gs = build_gamma(spec)
     row = node_set.indices[pos : pos + 1]
-    chi = transform.chi_matrix(spec, gs.elements, row)[:, 0]
+    chi = chi_matrix(spec, gs.elements, row)[:, 0]
     cvec = node_set.weights[pos] * chi / gs.norm_sq
     return ChebExpansion(
         gamma_set=gs,

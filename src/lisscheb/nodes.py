@@ -17,11 +17,16 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .congruence import DimensionVector
-from .errors import IndexOutOfRange
+from .congruence import DimensionVector, integer_tuple
+from .errors import IndexOutOfRange, InvalidParameter, OverflowDimension
 from .trig import cos_pi_ratio
 
 MultiIndex = Tuple[int, ...]
+
+# Largest grid box, prod_j (m_j + 1) cells, that build_node_set and
+# build_gamma allocate: about 60x the largest spec the tests and the
+# benchmark use, shifted (257, 256) with 264,195 cells.
+MAX_BOX_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,11 @@ class NodeSpec:
     kappa: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.kappa is not None and len(self.kappa) != self.n.dim:
-            raise ValueError("kappa must match the dimension of n")
+        if self.kappa is None:
+            return
+        integer_tuple(self.kappa, "kappa")
+        if len(self.kappa) != self.n.dim:
+            raise InvalidParameter("kappa must match the dimension of n")
 
     @property
     def is_shifted(self) -> bool:
@@ -150,12 +158,26 @@ def cgl_point(m: int, i: int) -> float:
     return cos_pi_ratio(i, m)
 
 
-def point_tables(spec: NodeSpec) -> List[np.ndarray]:
-    """Per-dimension lookup tables table[j][i] = cos(i*pi/m_j)."""
+def chi_tables(spec: NodeSpec) -> List[np.ndarray]:
+    """Per-axis tables cos(k pi / m_j), k < 2 m_j, with exact angle reduction.
+
+    Entry i <= m_j is the grid coordinate of index i; the full period
+    serves the products chi_gamma(i) after reducing gamma_j i_j mod 2 m_j.
+    """
     return [
-        np.array([cos_pi_ratio(i, mj) for i in range(mj + 1)])
+        np.array([cos_pi_ratio(k, mj) for k in range(2 * mj)])
         for mj in spec.m
     ]
+
+
+def check_box_size(spec: NodeSpec) -> None:
+    """Raise OverflowDimension if the spec's grid box exceeds MAX_BOX_CELLS."""
+    cells = math.prod(mj + 1 for mj in spec.m)
+    if cells > MAX_BOX_CELLS:
+        raise OverflowDimension(
+            f"grid box of {cells} cells exceeds the limit of "
+            f"{MAX_BOX_CELLS} cells"
+        )
 
 
 def _index_grid(axis_values: Sequence[np.ndarray]) -> np.ndarray:
@@ -166,6 +188,7 @@ def _index_grid(axis_values: Sequence[np.ndarray]) -> np.ndarray:
 
 def build_node_set(spec: NodeSpec) -> NodeSet:
     """Enumerate the node family of a spec with points, weights and parities."""
+    check_box_size(spec)
     d = spec.dim
     m = spec.m
     kappa = spec.kappa if spec.is_shifted else (0,) * d
@@ -190,7 +213,7 @@ def build_node_set(spec: NodeSpec) -> NodeSet:
     indices = indices[order]
     parities = parities[order]
 
-    tables = point_tables(spec)
+    tables = chi_tables(spec)
     points = np.column_stack(
         [tables[j][indices[:, j]] for j in range(d)]
     )

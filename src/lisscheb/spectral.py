@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import NotInGammaSet
-from .nodes import NodeSpec
+from .nodes import NodeSpec, check_box_size
 
 SpectralIndex = Tuple[int, ...]
 
@@ -76,16 +76,10 @@ def _graded_lex_order(elements: np.ndarray) -> np.ndarray:
     return np.lexsort(keys + (degrees,))
 
 
-def build_gamma(spec: NodeSpec) -> GammaSet:
-    """Enumerate the spectral set of a spec in graded lexicographic order."""
+def _pairwise_keep(spec: NodeSpec, cand: np.ndarray) -> np.ndarray:
+    """Which rows of an (N, d) array of in-box tuples meet the pairwise bounds."""
     n = spec.n.entries
     d = spec.dim
-    m = spec.m
-
-    axes = [np.arange(m[j], dtype=np.int64) for j in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cand = np.stack([g.ravel() for g in mesh], axis=-1)
-
     keep = np.ones(cand.shape[0], dtype=bool)
     for i in range(d):
         for j in range(i + 1, d):
@@ -96,57 +90,52 @@ def build_gamma(spec: NodeSpec) -> GammaSet:
                 keep &= lhs < 2 * n[i] * n[j]
             else:
                 keep &= lhs <= 2 * n[i] * n[j]
-    cand = cand[keep]
+    return keep
 
-    special = np.zeros((1, d), dtype=np.int64)
-    special[0, d - 1] = m[d - 1]
-    elements = np.concatenate([cand, special], axis=0)
-    elements = elements[_graded_lex_order(elements)]
 
+def _special(spec: NodeSpec) -> SpectralIndex:
+    return (0,) * (spec.dim - 1) + (spec.m[-1],)
+
+
+def _norm_terms(spec: NodeSpec, elements: np.ndarray):
+    """Support counts e, f and squared norms 2^(f - e), 1 for the special row."""
     e_counts = (elements > 0).sum(axis=1).astype(np.int64)
     if spec.is_shifted:
-        at_n = (elements == np.array(n, dtype=np.int64)).sum(axis=1)
+        at_n = (elements == np.array(spec.n.entries, dtype=np.int64)).sum(axis=1)
         f_counts = np.maximum(at_n - 1, 0).astype(np.int64)
     else:
         f_counts = np.zeros(elements.shape[0], dtype=np.int64)
-
     norm = np.exp2((f_counts - e_counts).astype(np.float64))
-    special_row = np.zeros(d, dtype=np.int64)
-    special_row[d - 1] = m[d - 1]
-    special_pos = int(
-        np.nonzero((elements == special_row).all(axis=1))[0][0]
-    )
-    norm[special_pos] = 1.0
+    norm[(elements == _special(spec)).all(axis=1)] = 1.0
+    return e_counts, f_counts, norm
 
+
+def build_gamma(spec: NodeSpec) -> GammaSet:
+    """Enumerate the spectral set of a spec in graded lexicographic order."""
+    check_box_size(spec)
+    axes = [np.arange(mj, dtype=np.int64) for mj in spec.m]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    cand = np.stack([g.ravel() for g in mesh], axis=-1)
+    cand = cand[_pairwise_keep(spec, cand)]
+
+    special = np.array([_special(spec)], dtype=np.int64)
+    elements = np.concatenate([cand, special], axis=0)
+    elements = elements[_graded_lex_order(elements)]
+
+    special_pos = int(np.nonzero((elements == special).all(axis=1))[0][0])
+    e_counts, f_counts, norm = _norm_terms(spec, elements)
     return GammaSet(spec, elements, norm, e_counts, f_counts, special_pos)
 
 
 def contains(spec: NodeSpec, gamma: SpectralIndex) -> bool:
     """Membership test for the spectral set, without building it."""
-    d = spec.dim
-    n = spec.n.entries
-    m = spec.m
-    if len(gamma) != d or any(g < 0 for g in gamma):
+    if len(gamma) != spec.dim:
         return False
-    special = tuple(0 for _ in range(d - 1)) + (m[d - 1],)
-    if tuple(gamma) == special:
+    if tuple(gamma) == _special(spec):
         return True
-    for i in range(d):
-        if gamma[i] >= m[i]:
-            return False
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = gamma[i] * n[j] + gamma[j] * n[i]
-            if not spec.is_shifted:
-                if lhs >= n[i] * n[j]:
-                    return False
-            elif (spec.kappa[i] - spec.kappa[j]) % 2 == 1:
-                if lhs >= 2 * n[i] * n[j]:
-                    return False
-            else:
-                if lhs > 2 * n[i] * n[j]:
-                    return False
-    return True
+    if not all(0 <= g < mj for g, mj in zip(gamma, spec.m)):
+        return False
+    return bool(_pairwise_keep(spec, np.array([gamma], dtype=np.int64))[0])
 
 
 def involution(m: Tuple[int, ...], gamma: SpectralIndex) -> SpectralIndex:
@@ -171,13 +160,5 @@ def norm_sq(spec: NodeSpec, gamma: SpectralIndex) -> float:
     """Squared discrete norm of the basis function indexed by gamma."""
     if not contains(spec, gamma):
         raise NotInGammaSet(f"{gamma} not in the spectral set")
-    d = spec.dim
-    special = tuple(0 for _ in range(d - 1)) + (spec.m[d - 1],)
-    if tuple(gamma) == special:
-        return 1.0
-    e = sum(1 for g in gamma if g > 0)
-    f = 0
-    if spec.is_shifted:
-        at_n = sum(1 for g, ni in zip(gamma, spec.n.entries) if g == ni)
-        f = max(at_n - 1, 0)
-    return 2.0 ** (f - e)
+    _, _, norm = _norm_terms(spec, np.array([gamma], dtype=np.int64))
+    return float(norm[0])

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from .errors import DomainViolation, IndexOutOfRange, SpecMismatch
-from .nodes import MultiIndex, NodeSet, NodeSpec, build_node_set
+from .nodes import MultiIndex, NodeSet, NodeSpec, build_node_set, chi_tables
 from .spectral import GammaSet, SpectralIndex, build_gamma
 from .trig import cos_pi_ratio
 
@@ -37,15 +37,11 @@ class SampleVector:
 
 
 @dataclass(frozen=True)
-class GridTensor:
-    """The weighted samples embedded into the full box grid.
+class ChebExpansion:
+    """A polynomial written in the spectral basis of a spec."""
 
-    The array covers every grid index (0..m_j per axis); positions whose
-    index is outside the parity-constrained index set hold zero.
-    """
-
-    spec: NodeSpec
-    array: np.ndarray
+    gamma_set: GammaSet
+    coeffs: Dict[SpectralIndex, Scalar]
 
 
 def chi_eval(spec: NodeSpec, gamma: SpectralIndex, i: MultiIndex) -> float:
@@ -54,14 +50,6 @@ def chi_eval(spec: NodeSpec, gamma: SpectralIndex, i: MultiIndex) -> float:
     for gj, ij, mj in zip(gamma, i, spec.m):
         out *= cos_pi_ratio(gj * ij, mj)
     return out
-
-
-def chi_tables(spec: NodeSpec) -> List[np.ndarray]:
-    """Per-axis tables cos(k pi / m_j), k < 2 m_j, with exact angle reduction."""
-    return [
-        np.array([cos_pi_ratio(k, mj) for k in range(2 * mj)])
-        for mj in spec.m
-    ]
 
 
 def chi_matrix(
@@ -162,8 +150,6 @@ def coefficients_naive(
     matrix X is built from the exact per-axis tables in blocks of at most
     _BLOCK_ENTRIES entries, so time is O(N^2) and memory is bounded.
     """
-    from . import interp
-
     if node_set is None:
         node_set = build_node_set(h.spec)
     if gamma_set is None:
@@ -182,20 +168,20 @@ def coefficients_naive(
             )
             acc[r : r + rows] += x @ wv[k : k + cols]
     cvec = acc / gamma_set.norm_sq
-    return interp.ChebExpansion(
+    return ChebExpansion(
         gamma_set=gamma_set, coeffs=dict(zip(gamma_set, cvec.tolist()))
     )
 
 
-def embed_grid(h: SampleVector, node_set: NodeSet) -> GridTensor:
-    """Scatter w_i h(i) into the full box grid, zero off the index set."""
+def embed_grid(h: SampleVector, node_set: NodeSet) -> np.ndarray:
+    """Scatter w_i h(i) into the (m_j + 1) box grid, zero off the index set."""
     vals = aligned_values(h, node_set)
     shape = tuple(mj + 1 for mj in h.spec.m)
     array = np.zeros(shape, dtype=vals.dtype)
     array[tuple(node_set.indices[:, j] for j in range(h.spec.dim))] = (
         node_set.weights * vals
     )
-    return GridTensor(spec=h.spec, array=array)
+    return array
 
 
 def _cosine_transform_axis(grid: np.ndarray, axis: int) -> np.ndarray:
@@ -229,15 +215,12 @@ def coefficients_fast(
     turn and reads off c_gamma = 2^(e - f) g_gamma (g_gamma for the
     special element).  Matches coefficients_naive to rounding error.
     """
-    from . import interp
-
     if node_set is None:
         node_set = build_node_set(h.spec)
     if gamma_set is None:
         gamma_set = build_gamma(h.spec)
 
-    tensor = embed_grid(h, node_set)
-    array = tensor.array
+    array = embed_grid(h, node_set)
     if np.iscomplexobj(array):
         real = _transform_all_axes(array.real)
         imag = _transform_all_axes(array.imag)
@@ -256,7 +239,7 @@ def coefficients_fast(
         gamma: (complex(c) if np.iscomplexobj(cvec) else float(c))
         for gamma, c in zip(gamma_set, cvec)
     }
-    return interp.ChebExpansion(gamma_set=gamma_set, coeffs=coeffs)
+    return ChebExpansion(gamma_set=gamma_set, coeffs=coeffs)
 
 
 def _transform_all_axes(array: np.ndarray) -> np.ndarray:

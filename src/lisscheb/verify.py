@@ -28,11 +28,6 @@ class CheckResult:
     detail: str
 
 
-def _chi_matrix(spec: NodeSpec, gamma_set, node_set: NodeSet) -> np.ndarray:
-    """Matrix X[p, k] = chi_{gamma_p}(i_k) over the spectral and node sets."""
-    return transform.chi_matrix(spec, gamma_set.elements, node_set.indices)
-
-
 def suite_orthogonality(
     spec: NodeSpec, node_set: Optional[NodeSet] = None
 ) -> List[CheckResult]:
@@ -49,7 +44,7 @@ def suite_orthogonality(
             f"#gamma={len(gs)} #nodes={len(node_set)}",
         )
     )
-    x = _chi_matrix(spec, gs, node_set)
+    x = transform.chi_matrix(spec, gs.elements, node_set.indices)
     gram = (x * node_set.weights) @ x.T
     off = gram - np.diag(np.diag(gram))
     max_off = float(np.abs(off).max()) if len(gs) > 1 else 0.0

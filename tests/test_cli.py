@@ -144,6 +144,29 @@ def _assert_clean_error(capsys, code, *needles):
         assert needle in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["nodes", "--variant", "shifted", "--n", "5,3", "--kappa", "0,1,2"],
+    ["curve", "--n", "5,3", "--kappa", "0"],
+    ["curve", "--n", "5,3", "--u", "1,2"],
+    ["gamma", "--n", "1000003,1000033"],
+    ["nodes", "--n", "1000003,1000033"],
+])
+def test_bad_parameters_exit_1(argv, capsys):
+    _assert_clean_error(capsys, run(argv))
+
+
+def test_eval_non_integer_n_exit_1(tmp_path, capsys):
+    expansion = tmp_path / "p.json"
+    expansion.write_text(json.dumps({
+        "variant": "standard", "n": [5.5, 3], "kappa": None,
+        "coefficients": [{"gamma": [0, 0], "value": 1.0}],
+    }))
+    points = tmp_path / "pts.csv"
+    points.write_text("x_1,x_2\n0.1,0.2\n")
+    code = run(["eval", "--expansion", str(expansion), "--points", str(points)])
+    _assert_clean_error(capsys, code, "must be integers")
+
+
 def test_non_finite_data_exit_1(tmp_path, capsys):
     spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
     data, _ = _write_node_data(tmp_path, spec, lambda x: 1.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from lisscheb.errors import (
     CoprimalityViolation,
     EmptyDimension,
     IncompatibleCongruences,
+    LisschebError,
     OverflowDimension,
     ZeroEntry,
 )
@@ -44,6 +46,18 @@ def test_empty_and_zero_entries():
         validate_pairwise_coprime((3, 0))
     with pytest.raises(ZeroEntry):
         validate_pairwise_coprime((3, -2))
+
+
+@pytest.mark.parametrize("bad", [[5.5, 3], [5.0, 3], "53", [True, 3]])
+def test_non_integer_entries_rejected(bad):
+    with pytest.raises(LisschebError, match="must be integers"):
+        validate_pairwise_coprime(bad)
+
+
+def test_numpy_integer_entries_accepted():
+    n = validate_pairwise_coprime(np.array([5, 3], dtype=np.int32))
+    assert n.entries == (5, 3)
+    assert all(type(e) is int for e in n.entries)
 
 
 def test_overflow_guard():

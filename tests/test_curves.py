@@ -18,7 +18,7 @@ from lisscheb.curves import (
     self_intersection_counts,
     total_node_count,
 )
-from lisscheb.errors import IndexOutOfRange, InvalidRange
+from lisscheb.errors import IndexOutOfRange, InvalidParameter, InvalidRange
 from lisscheb.nodes import NodeSpec, variety_membership
 
 N53 = validate_pairwise_coprime((5, 3))
@@ -41,6 +41,15 @@ def test_general_eval_examples():
 def test_general_curve_requires_gcd_one():
     with pytest.raises(ValueError):
         GeneralCurve(q=(2, 4), alpha=(0.0, 0.0), u=(1, 1))
+
+
+def test_lc_curve_rejects_bad_parameters():
+    with pytest.raises(InvalidParameter, match="dimension"):
+        LCCurve(n=N53, epsilon=1, kappa=(0,), u=(1, 1))
+    with pytest.raises(InvalidParameter, match="signs"):
+        LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 2))
+    with pytest.raises(InvalidParameter, match="integers"):
+        LCCurve(n=N53, epsilon=2, kappa=(0.5, 0), u=(1, 1))
 
 
 def test_lc_eval_examples():

@@ -133,12 +133,6 @@ def test_interpolation_recovers_space_member():
         assert p.coeffs[gamma] == pytest.approx(c, abs=1e-12)
 
 
-def test_interpolate_rejects_unknown_mode():
-    rng = np.random.default_rng(24)
-    with pytest.raises(ValueError):
-        interpolate(random_samples(NodeSpec(n=N53), rng), mode="adaptive")
-
-
 def test_kernel_symmetry_and_corner_value():
     spec = NodeSpec(n=N53)
     rng = np.random.default_rng(25)

@@ -6,8 +6,9 @@ import pytest
 
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.curves import LCCurve, lc_eval_at_index
-from lisscheb.errors import IndexOutOfRange
+from lisscheb.errors import IndexOutOfRange, InvalidParameter, OverflowDimension
 from lisscheb.nodes import (
+    MAX_BOX_CELLS,
     NodeSpec,
     build_node_set,
     cgl_point,
@@ -208,3 +209,25 @@ def test_reflection_symmetry(spec):
 def test_g_index_forced_by_even_entry():
     assert NodeSpec(n=N532, kappa=(0, 0, 0)).g_index == 2
     assert NodeSpec(n=N53, kappa=(0, 0)).g_index == 0
+
+
+def test_node_spec_rejects_bad_kappa():
+    with pytest.raises(InvalidParameter, match="dimension"):
+        NodeSpec(n=N53, kappa=(0, 1, 2))
+    with pytest.raises(InvalidParameter, match="integers"):
+        NodeSpec(n=N53, kappa=(0.5, 1))
+    # InvalidParameter is also a ValueError, as the bare error was before.
+    with pytest.raises(ValueError):
+        NodeSpec(n=N53, kappa=(0,))
+
+
+def test_box_size_limit():
+    from lisscheb.spectral import build_gamma
+
+    spec = NodeSpec(n=validate_pairwise_coprime((1000003, 1000033)))
+    for build in (build_node_set, build_gamma):
+        with pytest.raises(OverflowDimension, match="1000038000136 cells"):
+            build(spec)
+    # The largest spec of the tests and benchmark stays far inside the limit.
+    big = NodeSpec(n=validate_pairwise_coprime((257, 256)), kappa=(0, 1))
+    assert 50 * math.prod(mj + 1 for mj in big.m) < MAX_BOX_CELLS

@@ -154,6 +154,10 @@ def test_contains_agrees_with_enumeration(spec):
     box = [mj + 1 for mj in spec.m]
     for g in itertools.product(*(range(b + 1) for b in box)):
         assert contains(spec, g) == (g in members)
+    zero = (0,) * spec.dim
+    assert contains(spec, zero)
+    for bad in (zero + (0,), zero[1:], (-1,) + zero[1:], (10**30,) + zero[1:]):
+        assert contains(spec, bad) is False
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

@@ -1,11 +1,14 @@
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lisscheb import transform, verify
+from lisscheb import interp, transform, verify
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import DomainViolation, IndexOutOfRange, SpecMismatch
 from lisscheb.interp import interpolate
@@ -241,12 +244,12 @@ def test_embed_grid_shape_and_mass():
     spec = NodeSpec(n=N53)
     ns = build_node_set(spec)
     h = constant_samples(spec)
-    tensor = embed_grid(h, ns)
-    assert tensor.array.shape == (6, 4)
-    assert tensor.array.sum() == pytest.approx(1.0)
+    grid = embed_grid(h, ns)
+    assert grid.shape == (6, 4)
+    assert grid.sum() == pytest.approx(1.0)
     # off-pattern grid positions stay zero
-    assert tensor.array[0, 1] == 0.0
-    assert np.count_nonzero(tensor.array) == len(ns)
+    assert grid[0, 1] == 0.0
+    assert np.count_nonzero(grid) == len(ns)
 
 
 def _max_relative_deviation(got, want):
@@ -330,7 +333,32 @@ def test_non_finite_samples_rejected(bad):
     for op in (
         integrate,
         interpolate,
-        lambda h: interpolate(h, mode="naive"),
+        coefficients_naive,
     ):
         with pytest.raises(DomainViolation, match=r"\(1, 3\)"):
             op(h)
+
+
+def test_transform_does_not_import_interp():
+    # Load the package without its __init__, which imports every module, so
+    # only what transform itself pulls in ends up in sys.modules.
+    package_dir = Path(transform.__file__).parent
+    script = f"""
+import sys, types
+pkg = types.ModuleType("lisscheb")
+pkg.__path__ = [{str(package_dir)!r}]
+sys.modules["lisscheb"] = pkg
+from lisscheb import nodes, transform
+from lisscheb.congruence import validate_pairwise_coprime
+spec = nodes.NodeSpec(n=validate_pairwise_coprime((5, 3)))
+ns = nodes.build_node_set(spec)
+h = transform.SampleVector(spec, {{key: 1.0 for key in ns.lookup}})
+transform.coefficients_fast(h)
+transform.coefficients_naive(h)
+assert "lisscheb.interp" not in sys.modules, sorted(sys.modules)
+"""
+    subprocess.run([sys.executable, "-c", script], check=True)
+
+
+def test_one_expansion_type():
+    assert interp.ChebExpansion is transform.ChebExpansion
