@@ -191,33 +191,56 @@ def _read_samples(spec: NodeSpec, path: str) -> transform.SampleVector:
                     f"expected {d} index columns plus a value, got {len(row)}"
                 )
             try:
-                idx = tuple(int(c) for c in row[:d])
-                values[idx] = float(row[d])
+                idx = tuple(map(int, row[:d]))
+                value = float(row[d])
             except ValueError as exc:
                 raise LisschebError(
                     f"{path}, line {reader.line_num}: {exc}"
                 ) from None
+            if idx in values:
+                raise LisschebError(
+                    f"{path}, line {reader.line_num}: repeated index {idx}"
+                )
+            values[idx] = value
     return transform.SampleVector(spec=spec, values=values)
 
 
-def _expansion_payload(spec: NodeSpec, expansion) -> dict:
-    gs = expansion.gamma_set
-    return {
+def _write_expansion(path: Optional[str], spec: NodeSpec, expansion) -> None:
+    """Write the expansion JSON in the layout of json.dump(indent=2).
+
+    An indent forces json's pure-Python encoder, so the coefficient values
+    are rendered by one call of the C encoder instead, and the entries are
+    streamed one by one rather than joined into one string.  Python floats
+    survive "%.17g", so the values are those of _fmt.
+    """
+    head = json.dumps({
         "variant": "shifted" if spec.is_shifted else "standard",
         "n": list(spec.n.entries),
         "kappa": list(spec.kappa) if spec.is_shifted else None,
-        "coefficients": [
-            {"gamma": list(gamma), "value": float(_fmt(expansion.coeffs[gamma]))}
-            for gamma in gs
-        ],
-    }
+    }, indent=2)
+    values = json.dumps(list(expansion.coeffs.values()))[1:-1].split(", ")
+    entry = (
+        '\n    {\n      "gamma": [\n'
+        + ",\n".join(["        %d"] * spec.dim)
+        + '\n      ],\n      "value": %s\n    }'
+    )
+    out, close = _open_out(path)
+    try:
+        out.write(head[:-2] + ',\n  "coefficients": [')
+        sep = ""
+        for gamma, value in zip(expansion.coeffs, values):
+            out.write(sep + entry % (*gamma, value))
+            sep = ","
+        out.write("\n  ]\n}\n")
+    finally:
+        if close:
+            out.close()
 
 
 def cmd_interp(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     h = _read_samples(spec, args.data)
-    expansion = interp.interpolate(h)
-    _write_json(args.out, _expansion_payload(spec, expansion))
+    _write_expansion(args.out, spec, interp.interpolate(h))
     return EXIT_OK
 
 
@@ -240,7 +263,7 @@ def _load_expansion(path: str):
     except (TypeError, ValueError) as exc:
         raise LisschebError(f"{path}: malformed expansion: {exc}") from None
     gs = build_gamma(spec)
-    unknown = set(coeffs) - set(gs.lookup)
+    unknown = coeffs.keys() - gs.lookup.keys()
     if unknown:
         raise LisschebError(
             f"{len(unknown)} coefficients outside the spectral set"

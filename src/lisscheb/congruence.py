@@ -121,11 +121,14 @@ def crt_solve(congruences: Sequence[Tuple[int, int]]) -> int:
     a_i = a_j mod gcd(k_i, k_j) is checked for every pair first and
     IncompatibleCongruences raised when it fails.  Solutions are merged
     pairwise with Bezout coefficients, so the result is the unique l in
-    [0, lcm(k_1..k_d)).
+    [0, lcm(k_1..k_d)).  A residue or modulus that is not an integer
+    raises InvalidParameter.
     """
     if not congruences:
         raise EmptyDimension("congruence system must be non-empty")
-    pairs = [(int(a), int(k)) for a, k in congruences]
+    residues = integer_tuple((a for a, _ in congruences), "residue")
+    moduli = integer_tuple((k for _, k in congruences), "modulus")
+    pairs = list(zip(residues, moduli))
     for _, k in pairs:
         if k < 1:
             raise ZeroEntry("moduli must be positive")

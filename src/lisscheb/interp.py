@@ -126,10 +126,7 @@ def fundamental(spec: NodeSpec, i: MultiIndex) -> ChebExpansion:
     row = node_set.indices[pos : pos + 1]
     chi = chi_matrix(spec, gs.elements, row)[:, 0]
     cvec = node_set.weights[pos] * chi / gs.norm_sq
-    return ChebExpansion(
-        gamma_set=gs,
-        coeffs={gamma: float(c) for gamma, c in zip(gs, cvec)},
-    )
+    return ChebExpansion(gamma_set=gs, coeffs=dict(zip(gs, cvec.tolist())))
 
 
 def expansion_inner_product(p: ChebExpansion, q: ChebExpansion) -> Scalar:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,11 +144,18 @@ class NodeSet:
     @property
     def lookup(self) -> Dict[MultiIndex, int]:
         if self._lookup is None:
-            self._lookup = {
-                tuple(int(v) for v in row): pos
-                for pos, row in enumerate(self.indices)
-            }
+            keys = int_tuples(self.indices)
+            self._lookup = dict(zip(keys, range(len(self))))
         return self._lookup
+
+
+def int_tuples(rows: np.ndarray) -> Iterator[Tuple[int, ...]]:
+    """The rows of an (N, d) integer array as tuples of Python ints.
+
+    Zipping the d column lists builds the tuples in C, without the list of
+    N row lists that ``map(tuple, rows.tolist())`` would hold.
+    """
+    return zip(*rows.T.tolist())
 
 
 def cgl_point(m: int, i: int) -> float:

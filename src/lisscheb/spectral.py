@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import NotInGammaSet
-from .nodes import NodeSpec, check_box_size
+from .nodes import NodeSpec, check_box_size, int_tuples
 
 SpectralIndex = Tuple[int, ...]
 
@@ -53,20 +53,17 @@ class GammaSet:
         return self.elements.shape[0]
 
     def __iter__(self):
-        for row in self.elements:
-            yield tuple(int(v) for v in row)
+        return int_tuples(self.elements)
 
     @property
     def special(self) -> SpectralIndex:
-        return tuple(int(v) for v in self.elements[self.special_pos])
+        pos = self.special_pos
+        return next(int_tuples(self.elements[pos : pos + 1]))
 
     @property
     def lookup(self) -> Dict[SpectralIndex, int]:
         if self._lookup is None:
-            self._lookup = {
-                tuple(int(v) for v in row): pos
-                for pos, row in enumerate(self.elements)
-            }
+            self._lookup = dict(zip(self, range(len(self))))
         return self._lookup
 
 

@@ -214,6 +214,8 @@ def coefficients_fast(
     Embeds the weighted samples into the box grid, transforms each axis in
     turn and reads off c_gamma = 2^(e - f) g_gamma (g_gamma for the
     special element).  Matches coefficients_naive to rounding error.
+    Raises DomainViolation when finite samples overflow to a coefficient
+    that is not finite.
     """
     if node_set is None:
         node_set = build_node_set(h.spec)
@@ -221,25 +223,33 @@ def coefficients_fast(
         gamma_set = build_gamma(h.spec)
 
     array = embed_grid(h, node_set)
-    if np.iscomplexobj(array):
-        real = _transform_all_axes(array.real)
-        imag = _transform_all_axes(array.imag)
-        g = real + 1j * imag
-    else:
-        g = _transform_all_axes(array)
+    # Overflow is reported below as DomainViolation, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.iscomplexobj(array):
+            real = _transform_all_axes(array.real)
+            imag = _transform_all_axes(array.imag)
+            g = real + 1j * imag
+        else:
+            g = _transform_all_axes(array)
 
-    scale = np.exp2(
-        (gamma_set.e_counts - gamma_set.f_counts).astype(np.float64)
+        scale = np.exp2(
+            (gamma_set.e_counts - gamma_set.f_counts).astype(np.float64)
+        )
+        scale[gamma_set.special_pos] = 1.0
+        raw = g[tuple(gamma_set.elements[:, j] for j in range(h.spec.dim))]
+        cvec = scale * raw
+
+    finite = np.isfinite(cvec)
+    if not finite.all():
+        pos = int(np.argmin(finite))
+        raise DomainViolation(
+            f"coefficient {cvec[pos]} at gamma "
+            f"{tuple(gamma_set.elements[pos].tolist())} is not finite: "
+            "the samples overflow the transform"
+        )
+    return ChebExpansion(
+        gamma_set=gamma_set, coeffs=dict(zip(gamma_set, cvec.tolist()))
     )
-    scale[gamma_set.special_pos] = 1.0
-    raw = g[tuple(gamma_set.elements[:, j] for j in range(h.spec.dim))]
-    cvec = scale * raw
-
-    coeffs = {
-        gamma: (complex(c) if np.iscomplexobj(cvec) else float(c))
-        for gamma, c in zip(gamma_set, cvec)
-    }
-    return ChebExpansion(gamma_set=gamma_set, coeffs=coeffs)
 
 
 def _transform_all_axes(array: np.ndarray) -> np.ndarray:

@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import tracemalloc
+import warnings
 
 import pytest
 
 from lisscheb.cli import main
 from lisscheb.congruence import validate_pairwise_coprime
+from lisscheb.interp import interpolate
 from lisscheb.nodes import NodeSpec, build_node_set
+from lisscheb.transform import SampleVector
 
 
 def run(argv):
@@ -129,6 +133,68 @@ def test_interp_eval_roundtrip(tmp_path):
         assert float(row[2]) == pytest.approx(fn(node.point), abs=1e-10)
 
 
+def _reference_payload(spec, fn):
+    """The interp document as json.dump(indent=2) wrote it from a dict."""
+    ns = build_node_set(spec)
+    values = {node.index: float("%.17g" % fn(node.point)) for node in ns.nodes}
+    expansion = interpolate(SampleVector(spec=spec, values=values))
+    return {
+        "variant": "shifted" if spec.is_shifted else "standard",
+        "n": list(spec.n.entries),
+        "kappa": list(spec.kappa) if spec.is_shifted else None,
+        "coefficients": [
+            {"gamma": list(gamma),
+             "value": float("%.17g" % expansion.coeffs[gamma])}
+            for gamma in expansion.gamma_set
+        ],
+    }
+
+
+def _spec_argv(spec):
+    argv = ["--n", ",".join(str(v) for v in spec.n.entries)]
+    if spec.is_shifted:
+        argv += ["--variant", "shifted",
+                 "--kappa", ",".join(str(v) for v in spec.kappa)]
+    return argv
+
+
+@pytest.mark.parametrize("nv, kappa", [
+    ((5, 3), None),
+    ((5, 3), (0, 1)),
+    ((7, 5, 3, 2), None),
+    ((9, 7, 4), (1, 0, 0)),
+])
+def test_interp_json_layout(tmp_path, capsys, nv, kappa):
+    spec = NodeSpec(n=validate_pairwise_coprime(nv), kappa=kappa)
+    fn = lambda x: math.exp(x[0]) * math.cos(3 * x[-1]) - 0.25
+    data, _ = _write_node_data(tmp_path, spec, fn)
+    want = json.dumps(_reference_payload(spec, fn), indent=2) + "\n"
+    out = tmp_path / "expansion.json"
+    argv = ["interp", "--data", str(data)] + _spec_argv(spec)
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_interp_memory_is_streamed(tmp_path):
+    # The document of (129,128) is about 1 MB.  json.dump of a payload dict
+    # peaked at 4.96 MB, joining the entries into one string at 5.0 to
+    # 6.5 MB, and streaming them peaks at about 4.4 MB.
+    spec = NodeSpec(n=validate_pairwise_coprime((129, 128)))
+    data, _ = _write_node_data(tmp_path, spec, lambda x: x[0] * x[1])
+    out = tmp_path / "expansion.json"
+    argv = ["interp", "--n", "129,128", "--data", str(data), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.96e6
+    assert len(json.loads(out.read_text())["coefficients"]) == 8385
+
+
 def test_interp_rejects_bad_data(tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("i_1,i_2,value\n0,1,3.5\n")
@@ -176,6 +242,26 @@ def test_non_finite_data_exit_1(tmp_path, capsys):
     for command in ("quad", "interp"):
         code = run([command, "--n", "5,3", "--data", str(data)])
         _assert_clean_error(capsys, code, "(1, 3)", "not finite")
+
+
+def test_repeated_sample_row_exit_1(tmp_path, capsys):
+    spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
+    data, _ = _write_node_data(tmp_path, spec, lambda x: 1.0)
+    with open(data, "a") as handle:
+        handle.write("0,0,1000.0\n")
+    for command in ("quad", "interp"):
+        code = run([command, "--n", "5,3", "--data", str(data)])
+        _assert_clean_error(capsys, code, str(data), "line 14",
+                            "repeated index (0, 0)")
+
+
+def test_overflowing_data_exit_1(tmp_path, capsys):
+    spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
+    data, _ = _write_node_data(tmp_path, spec, lambda x: 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["interp", "--n", "5,3", "--data", str(data)])
+    _assert_clean_error(capsys, code, "(0, 0)", "not finite")
 
 
 def test_non_integer_index_cell_exit_1(tmp_path, capsys):

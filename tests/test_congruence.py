@@ -13,6 +13,7 @@ from lisscheb.errors import (
     CoprimalityViolation,
     EmptyDimension,
     IncompatibleCongruences,
+    InvalidParameter,
     LisschebError,
     OverflowDimension,
     ZeroEntry,
@@ -88,6 +89,21 @@ def test_crt_incompatible():
 def test_crt_negative_residues():
     l = crt_solve([(-1, 5), (-1, 3)])
     assert l == 14
+
+
+@pytest.mark.parametrize("bad", [
+    [(1.5, 3), (2, 5)],
+    [(1, 3.9), (2, 5)],
+    [(1, 3), ("2", 5)],
+    [(1, True), (2, 5)],
+])
+def test_crt_rejects_non_integers(bad):
+    with pytest.raises(InvalidParameter, match="must be integers"):
+        crt_solve(bad)
+
+
+def test_crt_accepts_numpy_integers():
+    assert crt_solve([(np.int64(1), np.int32(3)), (2, np.int64(5))]) == 7
 
 
 @given(

@@ -231,3 +231,19 @@ def test_box_size_limit():
     # The largest spec of the tests and benchmark stays far inside the limit.
     big = NodeSpec(n=validate_pairwise_coprime((257, 256)), kappa=(0, 1))
     assert 50 * math.prod(mj + 1 for mj in big.m) < MAX_BOX_CELLS
+
+
+@pytest.mark.parametrize(
+    "spec",
+    STANDARD_SPECS
+    + SHIFTED_SPECS
+    + [NodeSpec(n=validate_pairwise_coprime((4,)))],
+)
+def test_lookup_keys_are_python_ints(spec):
+    ns = build_node_set(spec)
+    rows = [tuple(int(v) for v in row) for row in ns.indices]
+    assert ns.lookup == {row: pos for pos, row in enumerate(rows)}
+    assert list(ns.lookup) == rows
+    for key in ns.lookup:
+        assert type(key) is tuple and len(key) == spec.dim
+        assert all(type(v) is int for v in key)

@@ -166,3 +166,18 @@ def test_norm_sq_positive_and_consistent(spec):
     assert np.all(gs.norm_sq > 0)
     for pos, g in enumerate(gs):
         assert norm_sq(spec, g) == gs.norm_sq[pos]
+
+
+@pytest.mark.parametrize(
+    "spec", ALL_SPECS + [NodeSpec(n=validate_pairwise_coprime((4,)))]
+)
+def test_gamma_tuples_are_python_ints(spec):
+    gs = build_gamma(spec)
+    rows = [tuple(int(v) for v in row) for row in gs.elements]
+    assert list(gs) == rows
+    assert gs.lookup == {row: pos for pos, row in enumerate(rows)}
+    assert list(gs.lookup) == rows
+    assert gs.special == rows[gs.special_pos]
+    for key in list(gs) + list(gs.lookup) + [gs.special]:
+        assert type(key) is tuple and len(key) == spec.dim
+        assert all(type(v) is int for v in key)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,18 @@ def test_non_finite_samples_rejected(bad):
     ):
         with pytest.raises(DomainViolation, match=r"\(1, 3\)"):
             op(h)
+
+
+def test_overflowing_samples_rejected():
+    # Finite samples near the float64 maximum overflow the transform: the
+    # constant coefficient of h = 1.7e308 is 1.7e308, but its sum is inf.
+    h = constant_samples(NodeSpec(n=N53), 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainViolation, match=r"\(0, 0\) is not finite"):
+            coefficients_fast(h)
+        with pytest.raises(DomainViolation, match="not finite"):
+            interpolate(h)
 
 
 def test_transform_does_not_import_interp():
