@@ -13,13 +13,16 @@ import csv
 import json
 import math
 import sys
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import interp, quad, transform, verify
-from .congruence import validate_pairwise_coprime
+from .congruence import integer_tuple, validate_pairwise_coprime
 from .curves import LCCurve, sample_curve
-from .errors import LisschebError
-from .nodes import NodeSpec, build_node_set
+from .errors import InvalidParameter, LisschebError
+from .nodes import NodeSet, NodeSpec, build_node_set
 from .spectral import build_gamma
 
 EXIT_OK = 0
@@ -86,11 +89,12 @@ def _write_json(path: Optional[str], payload) -> None:
             out.close()
 
 
-def _face_bitmask(face) -> int:
-    mask = 0
-    for j in face:
-        mask |= 1 << j
-    return mask
+def _node_rows(ns: NodeSet):
+    """Index, point, weight, parity and face bitmask (bit j: 0 < i_j < m_j)."""
+    interior = (ns.indices > 0) & (ns.indices < np.array(ns.spec.m))
+    faces = interior @ (1 << np.arange(ns.spec.dim))
+    return zip(ns.indices.tolist(), ns.points.tolist(), ns.weights.tolist(),
+               ns.parities.tolist(), faces.tolist())
 
 
 def cmd_nodes(args: argparse.Namespace) -> int:
@@ -104,13 +108,13 @@ def cmd_nodes(args: argparse.Namespace) -> int:
             "kappa": list(spec.kappa) if spec.is_shifted else None,
             "nodes": [
                 {
-                    "index": list(node.index),
-                    "point": [float(_fmt(c)) for c in node.point],
-                    "weight": float(_fmt(node.weight)),
-                    "parity": node.parity,
-                    "face_bitmask": _face_bitmask(node.face),
+                    "index": index,
+                    "point": [float(_fmt(c)) for c in point],
+                    "weight": float(_fmt(weight)),
+                    "parity": parity,
+                    "face_bitmask": face,
                 }
-                for node in node_set.nodes
+                for index, point, weight, parity, face in _node_rows(node_set)
             ],
         }
         _write_json(args.out, payload)
@@ -121,11 +125,10 @@ def cmd_nodes(args: argparse.Namespace) -> int:
             + ["weight", "parity", "face_bitmask"]
         )
         rows = (
-            [str(v) for v in node.index]
-            + [_fmt(c) for c in node.point]
-            + [_fmt(node.weight), str(node.parity),
-               str(_face_bitmask(node.face))]
-            for node in node_set.nodes
+            [str(v) for v in index]
+            + [_fmt(c) for c in point]
+            + [_fmt(weight), str(parity), str(face)]
+            for index, point, weight, parity, face in _node_rows(node_set)
         )
         _write_csv(args.out, header, rows)
     return EXIT_OK
@@ -244,6 +247,20 @@ def cmd_interp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_gamma_entries(path: str, gammas: List[tuple]) -> None:
+    """Raise for the first gamma entry that is not integer or repeats."""
+    seen = set()
+    for pos, gamma in enumerate(gammas, 1):
+        where = f"{path}, coefficient entry {pos}"
+        try:
+            integer_tuple(gamma, "gamma")
+        except InvalidParameter as exc:
+            raise LisschebError(f"{where}: {exc}") from None
+        if gamma in seen:
+            raise LisschebError(f"{where}: repeated gamma {gamma}")
+        seen.add(gamma)
+
+
 def _load_expansion(path: str):
     with open(path) as handle:
         try:
@@ -255,13 +272,15 @@ def _load_expansion(path: str):
         kappa = payload.get("kappa")
         spec = NodeSpec(n=n, kappa=tuple(kappa) if kappa is not None else None)
         entries = payload["coefficients"]
-        coeffs = {
-            tuple(entry["gamma"]): float(entry["value"]) for entry in entries
-        }
+        gammas = [tuple(entry["gamma"]) for entry in entries]
+        coeffs = dict(zip(gammas, [float(entry["value"]) for entry in entries]))
     except KeyError as exc:
         raise LisschebError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise LisschebError(f"{path}: malformed expansion: {exc}") from None
+    # Plain JSON ints pass in bulk; anything else is checked entry by entry.
+    if len(coeffs) < len(gammas) or set(map(type, chain(*gammas))) - {int}:
+        _check_gamma_entries(path, gammas)
     gs = build_gamma(spec)
     unknown = coeffs.keys() - gs.lookup.keys()
     if unknown:

@@ -14,30 +14,17 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainViolation, IndexOutOfRange, SpecMismatch
-from .nodes import MultiIndex, NodeSpec, build_node_set
+from .errors import IndexOutOfRange, SpecMismatch
+from .nodes import MultiIndex, NodeSpec, build_node_set, check_point
 from .spectral import GammaSet, SpectralIndex, build_gamma
 from .transform import ChebExpansion, SampleVector, chi_matrix, coefficients_fast
 
 Scalar = Union[float, complex]
 
-_DOMAIN_SLACK = 1e-12
-
-
-def _check_point(x: Sequence[float], dim: int) -> Sequence[float]:
-    if len(x) != dim:
-        raise DomainViolation(f"point has {len(x)} coordinates, expected {dim}")
-    for xj in x:
-        if not math.isfinite(xj):
-            raise DomainViolation(f"coordinate {xj} is not finite")
-        if abs(xj) > 1.0 + _DOMAIN_SLACK:
-            raise DomainViolation(f"coordinate {xj} outside [-1, 1]")
-    return [min(1.0, max(-1.0, float(xj))) for xj in x]
-
 
 def cheb_T_eval(gamma: SpectralIndex, x: Sequence[float]) -> float:
     """Evaluate the tensor Chebyshev polynomial T_gamma at a point."""
-    x = _check_point(x, len(gamma))
+    x = check_point(x, len(gamma))
     out = 1.0
     for gj, xj in zip(gamma, x):
         out *= math.cos(gj * math.acos(xj))
@@ -69,7 +56,7 @@ def expansion_eval(p: ChebExpansion, x: Sequence[float]) -> Scalar:
     arccos formula to rounding error.
     """
     gs = p.gamma_set
-    x = _check_point(x, gs.spec.dim)
+    x = check_point(x, gs.spec.dim)
     if not p.coeffs:
         return 0.0
     tables = _cheb_tables(gs, x)
@@ -100,8 +87,8 @@ def kernel_eval(
     spectral set, the special corner included.
     """
     gs = build_gamma(spec)
-    x = _check_point(x, spec.dim)
-    y = _check_point(y, spec.dim)
+    x = check_point(x, spec.dim)
+    y = check_point(y, spec.dim)
     tx = _cheb_tables(gs, x)
     ty = _cheb_tables(gs, y)
     terms = np.ones(len(gs))

@@ -18,7 +18,12 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .congruence import DimensionVector, integer_tuple
-from .errors import IndexOutOfRange, InvalidParameter, OverflowDimension
+from .errors import (
+    DomainViolation,
+    IndexOutOfRange,
+    InvalidParameter,
+    OverflowDimension,
+)
 from .trig import cos_pi_ratio
 
 MultiIndex = Tuple[int, ...]
@@ -27,6 +32,8 @@ MultiIndex = Tuple[int, ...]
 # build_gamma allocate: about 60x the largest spec the tests and the
 # benchmark use, shifted (257, 256) with 264,195 cells.
 MAX_BOX_CELLS = 1 << 24
+
+_DOMAIN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,9 +120,6 @@ class NodeSet:
 
     def __len__(self) -> int:
         return self.indices.shape[0]
-
-    def __iter__(self):
-        return iter(self.nodes)
 
     @property
     def nodes(self) -> List[Node]:
@@ -284,6 +288,22 @@ def class_map_shifted(
     return tuple(out)
 
 
+def check_point(x: Sequence[float], dim: int) -> List[float]:
+    """Validate a point of the cube [-1, 1]^dim and clamp off rounding slack.
+
+    Raises DomainViolation for a wrong number of coordinates, a NaN or
+    infinite coordinate, or one outside [-1, 1] by more than _DOMAIN_SLACK.
+    """
+    if len(x) != dim:
+        raise DomainViolation(f"point has {len(x)} coordinates, expected {dim}")
+    for xj in x:
+        if not math.isfinite(xj):
+            raise DomainViolation(f"coordinate {xj} is not finite")
+        if abs(xj) > 1.0 + _DOMAIN_SLACK:
+            raise DomainViolation(f"coordinate {xj} outside [-1, 1]")
+    return [min(1.0, max(-1.0, float(xj))) for xj in x]
+
+
 def variety_membership(
     spec: NodeSpec, x: Sequence[float], tol: float = 1e-9
 ) -> bool:
@@ -291,10 +311,10 @@ def variety_membership(
 
     The variety is the set where T_{n_1}(x_1) = ... = T_{n_d}(x_d)
     (standard), or (-1)^{kappa_i} T_{2n_i}(x_i) all equal (shifted).
+    Raises DomainViolation for a point that check_point rejects.
     """
     vals = []
-    for j, xj in enumerate(x):
-        xj = min(1.0, max(-1.0, float(xj)))
+    for j, xj in enumerate(check_point(x, spec.dim)):
         mj = spec.m[j]
         v = math.cos(mj * math.acos(xj))
         if spec.is_shifted and spec.kappa[j] % 2 == 1:

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from .nodes import NodeSet, NodeSpec, build_node_set
+from .nodes import NodeSet
 from .spectral import SpectralIndex
 from .transform import (
     SampleVector,
+    _scatter_grid,
     _transform_all_axes,
     alias_integral,
     discrete_integral,
@@ -31,25 +32,21 @@ class ExactnessEntry:
     ok: bool
 
 
-def integrate(
-    h: SampleVector, node_set: Optional[NodeSet] = None
-) -> float:
+def integrate(h: SampleVector) -> float:
     """Apply the quadrature rule sum_i w_i h(i) to node samples."""
-    return discrete_integral(h, node_set=node_set)
+    return discrete_integral(h)
 
 
 def exactness_table(
-    spec: NodeSpec,
-    box: Sequence[int],
-    tol: float = 1e-12,
-    node_set: Optional[NodeSet] = None,
+    node_set: NodeSet, box: Sequence[int], tol: float = 1e-12
 ) -> Dict[SpectralIndex, ExactnessEntry]:
-    """Check the rule against every basis polynomial in a frequency box.
+    """Check the rule of a node set against every basis polynomial in a box.
 
-    For each gamma with 0 <= gamma_j <= box_j the rule value
-    sum_i w_i T_gamma(z_i) is compared to the analytic integral (1 at
-    gamma = 0, else 0) when gamma is off the alias lattice, and to the
-    predicted signed alias value otherwise.
+    The rule audited is the node set's own weights w_i.  For each gamma
+    with 0 <= gamma_j <= box_j the rule value sum_i w_i T_gamma(z_i) is
+    compared to the analytic integral (1 at gamma = 0, else 0) when gamma
+    is off the alias lattice, and to the predicted signed alias value
+    otherwise.
 
     The rule is separable: one cosine transform of the weights embedded in
     the (m_j + 1) box grid gives S_k for 0 <= k_j <= m_j.  Since
@@ -57,11 +54,8 @@ def exactness_table(
     frequency reads S at min(k mod 2m_j, 2m_j - k mod 2m_j), so every
     box_j >= 0 is accepted, including boxes wider than 2m_j - 1.
     """
-    if node_set is None:
-        node_set = build_node_set(spec)
-    grid = np.zeros(tuple(mj + 1 for mj in spec.m))
-    grid[tuple(node_set.indices.T)] = node_set.weights
-    sums = _transform_all_axes(grid)
+    spec = node_set.spec
+    sums = _transform_all_axes(_scatter_grid(node_set, node_set.weights))
     folded = []
     for b, mj in zip(box, spec.m):
         k = np.arange(b + 1) % (2 * mj)

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import NotInGammaSet
-from .nodes import NodeSpec, check_box_size, int_tuples
+from .nodes import NodeSpec, _index_grid, check_box_size, int_tuples
 
 SpectralIndex = Tuple[int, ...]
 
@@ -27,9 +27,9 @@ class GammaSet:
 
     ``elements`` is an (N, d) integer array in graded lexicographic order;
     ``norm_sq`` the parallel vector of squared discrete norms; ``special``
-    the unique corner element (0, ..., 0, m_d).  ``e_counts`` and
-    ``f_counts`` hold the support counts entering the norm formula, which
-    the transform reuses as scale factors.
+    the unique corner element (0, ..., 0, m_d).  ``e_counts`` holds the
+    number of nonzero entries of each element, which sets the continuous
+    norm 2^(-e) of T_gamma.
     """
 
     def __init__(
@@ -38,14 +38,12 @@ class GammaSet:
         elements: np.ndarray,
         norm_sq: np.ndarray,
         e_counts: np.ndarray,
-        f_counts: np.ndarray,
         special_pos: int,
     ):
         self.spec = spec
         self.elements = elements
         self.norm_sq = norm_sq
         self.e_counts = e_counts
-        self.f_counts = f_counts
         self.special_pos = special_pos
         self._lookup: Optional[Dict[SpectralIndex, int]] = None
 
@@ -95,7 +93,7 @@ def _special(spec: NodeSpec) -> SpectralIndex:
 
 
 def _norm_terms(spec: NodeSpec, elements: np.ndarray):
-    """Support counts e, f and squared norms 2^(f - e), 1 for the special row."""
+    """Support counts e and squared norms 2^(f - e), 1 for the special row."""
     e_counts = (elements > 0).sum(axis=1).astype(np.int64)
     if spec.is_shifted:
         at_n = (elements == np.array(spec.n.entries, dtype=np.int64)).sum(axis=1)
@@ -104,15 +102,13 @@ def _norm_terms(spec: NodeSpec, elements: np.ndarray):
         f_counts = np.zeros(elements.shape[0], dtype=np.int64)
     norm = np.exp2((f_counts - e_counts).astype(np.float64))
     norm[(elements == _special(spec)).all(axis=1)] = 1.0
-    return e_counts, f_counts, norm
+    return e_counts, norm
 
 
 def build_gamma(spec: NodeSpec) -> GammaSet:
     """Enumerate the spectral set of a spec in graded lexicographic order."""
     check_box_size(spec)
-    axes = [np.arange(mj, dtype=np.int64) for mj in spec.m]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cand = np.stack([g.ravel() for g in mesh], axis=-1)
+    cand = _index_grid([np.arange(mj, dtype=np.int64) for mj in spec.m])
     cand = cand[_pairwise_keep(spec, cand)]
 
     special = np.array([_special(spec)], dtype=np.int64)
@@ -120,8 +116,8 @@ def build_gamma(spec: NodeSpec) -> GammaSet:
     elements = elements[_graded_lex_order(elements)]
 
     special_pos = int(np.nonzero((elements == special).all(axis=1))[0][0])
-    e_counts, f_counts, norm = _norm_terms(spec, elements)
-    return GammaSet(spec, elements, norm, e_counts, f_counts, special_pos)
+    e_counts, norm = _norm_terms(spec, elements)
+    return GammaSet(spec, elements, norm, e_counts, special_pos)
 
 
 def contains(spec: NodeSpec, gamma: SpectralIndex) -> bool:
@@ -157,5 +153,5 @@ def norm_sq(spec: NodeSpec, gamma: SpectralIndex) -> float:
     """Squared discrete norm of the basis function indexed by gamma."""
     if not contains(spec, gamma):
         raise NotInGammaSet(f"{gamma} not in the spectral set")
-    _, _, norm = _norm_terms(spec, np.array([gamma], dtype=np.int64))
+    _, norm = _norm_terms(spec, np.array([gamma], dtype=np.int64))
     return float(norm[0])

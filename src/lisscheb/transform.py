@@ -105,12 +105,9 @@ def aligned_values(
     return out
 
 
-def discrete_integral(
-    h: SampleVector, node_set: Optional[NodeSet] = None
-) -> Scalar:
+def discrete_integral(h: SampleVector) -> Scalar:
     """The weighted sum over all nodes, sum_i w_i h(i)."""
-    if node_set is None:
-        node_set = build_node_set(h.spec)
+    node_set = build_node_set(h.spec)
     vals = aligned_values(h, node_set)
     total = np.dot(node_set.weights, vals)
     return complex(total) if np.iscomplexobj(vals) else float(total)
@@ -139,21 +136,19 @@ def alias_integral(spec: NodeSpec, gamma: SpectralIndex) -> int:
 
 
 def coefficients_naive(
-    h: SampleVector,
-    node_set: Optional[NodeSet] = None,
-    gamma_set: Optional[GammaSet] = None,
-):
+    h: SampleVector, node_set: Optional[NodeSet] = None
+) -> ChebExpansion:
     """Basis coefficients by the direct sum; the reference oracle.
 
     c_gamma = <h, chi_gamma> / ||chi_gamma||^2 with the discrete inner
     product, evaluated as c = X (w h) / ||chi||^2 with no FFT.  The chi
     matrix X is built from the exact per-axis tables in blocks of at most
     _BLOCK_ENTRIES entries, so time is O(N^2) and memory is bounded.
+    Pass ``node_set`` to reuse the spec's node set across calls.
     """
     if node_set is None:
         node_set = build_node_set(h.spec)
-    if gamma_set is None:
-        gamma_set = build_gamma(h.spec)
+    gamma_set = build_gamma(h.spec)
     wv = node_set.weights * aligned_values(h, node_set)
     tables = chi_tables(h.spec)
     n = len(node_set)
@@ -173,15 +168,18 @@ def coefficients_naive(
     )
 
 
+def _scatter_grid(node_set: NodeSet, values: np.ndarray) -> np.ndarray:
+    """Scatter values in node-set order into the (m_j + 1) box grid."""
+    shape = tuple(mj + 1 for mj in node_set.spec.m)
+    array = np.zeros(shape, dtype=values.dtype)
+    array[tuple(node_set.indices.T)] = values
+    return array
+
+
 def embed_grid(h: SampleVector, node_set: NodeSet) -> np.ndarray:
     """Scatter w_i h(i) into the (m_j + 1) box grid, zero off the index set."""
     vals = aligned_values(h, node_set)
-    shape = tuple(mj + 1 for mj in h.spec.m)
-    array = np.zeros(shape, dtype=vals.dtype)
-    array[tuple(node_set.indices[:, j] for j in range(h.spec.dim))] = (
-        node_set.weights * vals
-    )
-    return array
+    return _scatter_grid(node_set, node_set.weights * vals)
 
 
 def _cosine_transform_axis(grid: np.ndarray, axis: int) -> np.ndarray:
@@ -205,22 +203,19 @@ def _cosine_transform_axis(grid: np.ndarray, axis: int) -> np.ndarray:
 
 
 def coefficients_fast(
-    h: SampleVector,
-    node_set: Optional[NodeSet] = None,
-    gamma_set: Optional[GammaSet] = None,
-):
+    h: SampleVector, node_set: Optional[NodeSet] = None
+) -> ChebExpansion:
     """Basis coefficients via nested fast cosine transforms.
 
     Embeds the weighted samples into the box grid, transforms each axis in
-    turn and reads off c_gamma = 2^(e - f) g_gamma (g_gamma for the
-    special element).  Matches coefficients_naive to rounding error.
-    Raises DomainViolation when finite samples overflow to a coefficient
-    that is not finite.
+    turn and reads off c_gamma = g_gamma / ||chi_gamma||^2.  Matches
+    coefficients_naive to rounding error.  Pass ``node_set`` to reuse the
+    spec's node set across calls.  Raises DomainViolation when finite
+    samples overflow to a coefficient that is not finite.
     """
     if node_set is None:
         node_set = build_node_set(h.spec)
-    if gamma_set is None:
-        gamma_set = build_gamma(h.spec)
+    gamma_set = build_gamma(h.spec)
 
     array = embed_grid(h, node_set)
     # Overflow is reported below as DomainViolation, not as a warning.
@@ -231,13 +226,7 @@ def coefficients_fast(
             g = real + 1j * imag
         else:
             g = _transform_all_axes(array)
-
-        scale = np.exp2(
-            (gamma_set.e_counts - gamma_set.f_counts).astype(np.float64)
-        )
-        scale[gamma_set.special_pos] = 1.0
-        raw = g[tuple(gamma_set.elements[:, j] for j in range(h.spec.dim))]
-        cvec = scale * raw
+        cvec = g[tuple(gamma_set.elements.T)] / gamma_set.norm_sq
 
     finite = np.isfinite(cvec)
     if not finite.all():

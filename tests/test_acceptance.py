@@ -163,10 +163,9 @@ def test_criterion_5_fast_vs_naive_and_speed():
     worst = 0.0
     for spec in ALL_SPECS:
         node_set = build_node_set(spec)
-        gs = build_gamma(spec)
         h = random_samples(spec, node_set, rng)
-        fast = coefficients_fast(h, node_set=node_set, gamma_set=gs)
-        naive = coefficients_naive(h, node_set=node_set, gamma_set=gs)
+        fast = coefficients_fast(h, node_set=node_set)
+        naive = coefficients_naive(h, node_set=node_set)
         scale = max(abs(v) for v in naive.coeffs.values())
         for gamma, c in naive.coeffs.items():
             worst = max(worst, abs(fast.coeffs[gamma] - c) / scale)
@@ -185,8 +184,7 @@ def test_criterion_5_fast_vs_naive_and_speed():
     )
     start = time.perf_counter()
     node_set = build_node_set(big)
-    gs = build_gamma(big)
-    coefficients_fast(h, node_set=node_set, gamma_set=gs)
+    coefficients_fast(h, node_set=node_set)  # builds the gamma set
     elapsed = time.perf_counter() - start
     ok &= elapsed < 2.0
     report(5, "fast transform matches the oracle and scales", ok,
@@ -199,7 +197,7 @@ def test_criterion_6_quadrature_exactness():
     checked = 0
     for spec in ALL_SPECS:
         box = [2 * mj - 1 for mj in spec.m]
-        table = exactness_table(spec, box, tol=1e-12)
+        table = exactness_table(build_node_set(spec), box, tol=1e-12)
         checked += len(table)
         ok &= all(entry.ok for entry in table.values())
 

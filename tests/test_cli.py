@@ -288,6 +288,25 @@ def test_eval_non_numeric_points_exit_1(tmp_path, capsys):
     _assert_clean_error(capsys, code, str(points), "line 3")
 
 
+@pytest.mark.parametrize("entries, needles", [
+    # a float gamma hashes equal to the integer tuple (0, 1)
+    ([{"gamma": [0.0, 1], "value": 1.0}],
+     ["coefficient entry 1", "must be integers", "0.0"]),
+    ([{"gamma": [0, 1], "value": 1.0}, {"gamma": [0, 1], "value": 5.0}],
+     ["coefficient entry 2", "repeated gamma (0, 1)"]),
+])
+def test_eval_bad_gamma_entry_exit_1(tmp_path, capsys, entries, needles):
+    expansion = tmp_path / "expansion.json"
+    expansion.write_text(json.dumps({
+        "variant": "standard", "n": [5, 3], "kappa": None,
+        "coefficients": entries,
+    }))
+    points = tmp_path / "points.csv"
+    points.write_text("x_1,x_2\n0.1,0.2\n")
+    code = run(["eval", "--expansion", str(expansion), "--points", str(points)])
+    _assert_clean_error(capsys, code, str(expansion), *needles)
+
+
 def test_eval_expansion_missing_key_exit_1(tmp_path, capsys):
     expansion = tmp_path / "expansion.json"
     expansion.write_text(json.dumps({"n": [5, 3], "kappa": None}))

@@ -6,7 +6,12 @@ import pytest
 
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.curves import LCCurve, lc_eval_at_index
-from lisscheb.errors import IndexOutOfRange, InvalidParameter, OverflowDimension
+from lisscheb.errors import (
+    DomainViolation,
+    IndexOutOfRange,
+    InvalidParameter,
+    OverflowDimension,
+)
 from lisscheb.nodes import (
     MAX_BOX_CELLS,
     NodeSpec,
@@ -188,6 +193,24 @@ def test_variety_counterexamples():
     assert not variety_membership(
         spec, (math.cos(math.pi / 10), 1.0), tol=1e-9
     )
+
+
+@pytest.mark.parametrize("x, match", [
+    ((math.nan, math.nan), "not finite"),
+    ((math.inf, 1.0), "not finite"),
+    ((1.0,), "1 coordinates, expected 2"),
+    ((1.0, 1.0, 1.0), "3 coordinates, expected 2"),
+    ((1.5, 1.0), "outside"),
+    ((1.0, -1.0 - 1e-9), "outside"),
+])
+def test_variety_membership_rejects_bad_points(x, match):
+    with pytest.raises(DomainViolation, match=match):
+        variety_membership(NodeSpec(n=N53), x)
+
+
+def test_variety_membership_keeps_rounding_slack():
+    # A node coordinate off by rounding is clamped, as expansion_eval does.
+    assert variety_membership(NodeSpec(n=N53), (1.0 + 1e-13, 1.0))
 
 
 @pytest.mark.parametrize("spec", SHIFTED_SPECS)

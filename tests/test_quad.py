@@ -88,7 +88,7 @@ def test_alias_frequency_integrates_to_one():
 
 def test_exactness_table_standard():
     spec = NodeSpec(n=N53)
-    table = exactness_table(spec, [9, 5])
+    table = exactness_table(build_node_set(spec), [9, 5])
     assert all(entry.ok for entry in table.values())
     assert table[(0, 0)].rule_value == pytest.approx(1.0)
     assert table[(0, 0)].true_value == 1.0
@@ -99,14 +99,14 @@ def test_exactness_table_standard():
 
 def test_exactness_table_shifted_signed_alias():
     spec = NodeSpec(n=N53, kappa=(0, 1))
-    table = exactness_table(spec, [11, 7])
+    table = exactness_table(build_node_set(spec), [11, 7])
     assert all(entry.ok for entry in table.values())
     assert table[(10, 6)].rule_value == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_exactness_table_flags_a_wrong_rule():
     spec = NodeSpec(n=N53)
-    table = exactness_table(spec, [9, 5], tol=1e-30)
+    table = exactness_table(build_node_set(spec), [9, 5], tol=1e-30)
     # an absurdly tight tolerance must produce at least one failure
     assert any(not entry.ok for entry in table.values())
 
@@ -148,7 +148,7 @@ def test_exactness_table_matches_oracle(spec, wide):
     # The wide box runs past 2 m_j, where the rule wraps around.
     box = [2 * mj + (1 if wide else -1) for mj in spec.m]
     tol = 1e-12
-    table = exactness_table(spec, box, tol=tol)
+    table = exactness_table(build_node_set(spec), box, tol=tol)
     acc = node_rule(spec, box)
     gammas = list(itertools.product(*(range(b + 1) for b in box)))
     assert len(table) == len(gammas)

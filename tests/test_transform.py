@@ -117,7 +117,7 @@ def test_discrete_integral_examples():
 def test_discrete_integral_spec_mismatch():
     other = build_node_set(NodeSpec(n=validate_pairwise_coprime((7, 4))))
     with pytest.raises(SpecMismatch):
-        discrete_integral(constant_samples(NodeSpec(n=N53)), node_set=other)
+        coefficients_fast(constant_samples(NodeSpec(n=N53)), node_set=other)
 
 
 def test_alias_integral_examples():
@@ -172,7 +172,7 @@ def test_naive_recovers_single_basis_function(spec):
         spec=spec,
         values={n.index: chi_eval(spec, target, n.index) for n in ns.nodes},
     )
-    p = coefficients_naive(h, node_set=ns, gamma_set=gs)
+    p = coefficients_naive(h, node_set=ns)
     for gamma, c in p.coeffs.items():
         want = 1.0 if gamma == target else 0.0
         assert c == pytest.approx(want, abs=1e-13)
@@ -199,11 +199,10 @@ def test_d1_recovers_chebyshev_degree():
 def test_fast_matches_naive(spec):
     rng = np.random.default_rng(7)
     ns = build_node_set(spec)
-    gs = build_gamma(spec)
     for _ in range(5):
         h = random_samples(spec, rng)
-        fast = coefficients_fast(h, node_set=ns, gamma_set=gs)
-        naive = coefficients_naive(h, node_set=ns, gamma_set=gs)
+        fast = coefficients_fast(h, node_set=ns)
+        naive = coefficients_naive(h, node_set=ns)
         scale = max(abs(v) for v in naive.coeffs.values())
         for gamma, c in naive.coeffs.items():
             assert abs(fast.coeffs[gamma] - c) / scale < 1e-12
@@ -266,7 +265,7 @@ def test_naive_matches_loop_oracle(spec, complex_valued):
     ns = build_node_set(spec)
     gs = build_gamma(spec)
     h = random_samples(spec, np.random.default_rng(31), complex_valued)
-    naive = coefficients_naive(h, node_set=ns, gamma_set=gs)
+    naive = coefficients_naive(h, node_set=ns)
     assert list(naive.coeffs) == list(gs)
     kind = complex if complex_valued else float
     assert all(type(c) is kind for c in naive.coeffs.values())
@@ -275,7 +274,7 @@ def test_naive_matches_loop_oracle(spec, complex_valued):
 
 def test_suite_transform_catches_scaled_coefficient(monkeypatch):
     spec = ORACLE_SPECS[2]
-    assert all(r.passed for r in verify.suite_transform(spec))
+    assert all(r.passed for r in verify.suite_transform(build_node_set(spec)))
     original = transform.coefficients_fast
 
     def scaled(*args, **kwargs):
@@ -285,7 +284,7 @@ def test_suite_transform_catches_scaled_coefficient(monkeypatch):
         return p
 
     monkeypatch.setattr(transform, "coefficients_fast", scaled)
-    results = verify.suite_transform(spec)
+    results = verify.suite_transform(build_node_set(spec))
     assert results and not any(r.passed for r in results)
 
 
@@ -300,13 +299,12 @@ def test_transform_suite_scales():
 def test_naive_memory_is_blocked():
     spec = NodeSpec(n=validate_pairwise_coprime((61, 60)))
     ns = build_node_set(spec)
-    gs = build_gamma(spec)
     h = random_samples(spec, np.random.default_rng(33))
     n = len(ns)
     assert n == 1891
     tracemalloc.start()
     try:
-        coefficients_naive(h, node_set=ns, gamma_set=gs)
+        coefficients_naive(h, node_set=ns)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
