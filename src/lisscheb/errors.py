@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+from typing import Optional
+
 
 class LisschebError(Exception):
     """Base class for all library errors."""
@@ -58,7 +60,15 @@ class NotInGammaSet(LisschebError):
 
 class DomainViolation(LisschebError):
     """An evaluation point lies outside the closed unit cube, or a point or
-    sample value is not finite."""
+    sample value is not finite.
+
+    ``row`` is the position of the offending point in a batch of points,
+    when the check covered one.
+    """
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        self.row = row
+        super().__init__(message)
 
 
 class SpecMismatch(LisschebError):

@@ -10,16 +10,27 @@ be inspected, serialized and re-evaluated.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import IndexOutOfRange, SpecMismatch
-from .nodes import MultiIndex, NodeSpec, build_node_set, check_point
+from .nodes import (
+    MultiIndex,
+    NodeSpec,
+    build_node_set,
+    check_point,
+    check_points,
+)
 from .spectral import GammaSet, SpectralIndex, build_gamma
 from .transform import ChebExpansion, SampleVector, chi_matrix, coefficients_fast
 
 Scalar = Union[float, complex]
+
+# Most term entries, points x coefficients, that one block of the batched
+# evaluation holds: 2 MB of float64, whatever the number of points.
+_EVAL_BLOCK = 1 << 18
 
 
 def cheb_T_eval(gamma: SpectralIndex, x: Sequence[float]) -> float:
@@ -48,14 +59,62 @@ def _cheb_tables(
     return tables
 
 
-def expansion_eval(p: ChebExpansion, x: Sequence[float]) -> Scalar:
-    """Evaluate sum_gamma c_gamma T_gamma(x).
+def _cheb_rows(xj: np.ndarray, top: int) -> np.ndarray:
+    """Table (M, top + 1) of T_k(xj), by the recurrence of _cheb_tables."""
+    x2 = 2.0 * xj
+    t = np.empty((xj.shape[0], top + 1))
+    t[:, 0] = 1.0
+    if top >= 1:
+        t[:, 1] = xj
+    for k in range(2, top + 1):
+        t[:, k] = x2 * t[:, k - 1] - t[:, k - 2]
+    return t
 
-    Uses recurrence tables of one-dimensional Chebyshev values, so the
-    cost is linear in the spectral set size; the result matches the
-    arccos formula to rounding error.
+
+def _eval_points(p: ChebExpansion, x: np.ndarray) -> np.ndarray:
+    """sum_gamma c_gamma T_gamma at the rows of a checked (M, d) array.
+
+    Works through blocks of at most _EVAL_BLOCK term entries.  Each block
+    builds its per-axis recurrence tables as _cheb_tables does, multiplies
+    the terms in the same axis order as the one-point loop and sums them
+    with a cumulative sum, which adds one term after another in the dict's
+    order, so every value equals the one-point loop's bit for bit.
+    """
+    n = len(p.coeffs)
+    m, d = x.shape
+    if n == 0:
+        return np.zeros(m)
+    g = np.fromiter(chain.from_iterable(p.coeffs), np.int64, n * d)
+    g = g.reshape(n, d)
+    c = np.array(list(p.coeffs.values()))
+    c = c.astype(np.result_type(c, np.float64), copy=False)
+    tops = g.max(axis=0).tolist()
+    out = np.empty(m, dtype=c.dtype)
+    rows = max(1, _EVAL_BLOCK // n)
+    for start in range(0, m, rows):
+        xb = x[start : start + rows]
+        term = np.multiply(c, _cheb_rows(xb[:, 0], tops[0])[:, g[:, 0]])
+        for j in range(1, d):
+            term *= _cheb_rows(xb[:, j], tops[j])[:, g[:, j]]
+        out[start : start + rows] = np.cumsum(term, axis=1, out=term)[:, -1]
+    # The loop's sum starts from 0.0, which turns a -0.0 total into 0.0.
+    return out + 0.0
+
+
+def expansion_eval(p: ChebExpansion, x: Sequence[float]) -> Scalar:
+    """Evaluate sum_gamma c_gamma T_gamma(x) at one point or at M points.
+
+    A point of d coordinates gives a scalar.  An (M, d) array gives an
+    array of the M values, float, or complex when a coefficient is.  Both
+    use recurrence tables of one-dimensional Chebyshev values, so the cost
+    is linear in the spectral set size, and both sum the terms in the same
+    order, so the values agree bit for bit; they match the arccos formula
+    to rounding error.  Points are checked by nodes.check_points' rule.
     """
     gs = p.gamma_set
+    # An array of rows, or a sequence of rows even of different lengths.
+    if getattr(x, "ndim", 1) == 2 or len(x) and hasattr(x[0], "__len__"):
+        return _eval_points(p, check_points(x, gs.spec.dim))
     x = check_point(x, gs.spec.dim)
     if not p.coeffs:
         return 0.0

@@ -288,20 +288,42 @@ def class_map_shifted(
     return tuple(out)
 
 
-def check_point(x: Sequence[float], dim: int) -> List[float]:
-    """Validate a point of the cube [-1, 1]^dim and clamp off rounding slack.
+def check_points(points, dim: int) -> np.ndarray:
+    """Validate M points of the cube [-1, 1]^dim and clamp off rounding slack.
 
-    Raises DomainViolation for a wrong number of coordinates, a NaN or
-    infinite coordinate, or one outside [-1, 1] by more than _DOMAIN_SLACK.
+    ``points`` is an (M, dim) array or a sequence of M coordinate
+    sequences; the result is the (M, dim) float64 array of the points, the
+    input array itself when it is one and needs no clamping.  Raises
+    DomainViolation at the first point, in order, with a wrong number of
+    coordinates, a NaN or infinite coordinate, or one outside [-1, 1] by
+    more than _DOMAIN_SLACK; the exception's ``row`` is that point's
+    position.
     """
-    if len(x) != dim:
-        raise DomainViolation(f"point has {len(x)} coordinates, expected {dim}")
-    for xj in x:
-        if not math.isfinite(xj):
-            raise DomainViolation(f"coordinate {xj} is not finite")
-        if abs(xj) > 1.0 + _DOMAIN_SLACK:
-            raise DomainViolation(f"coordinate {xj} outside [-1, 1]")
-    return [min(1.0, max(-1.0, float(xj))) for xj in x]
+    try:
+        x = np.asarray(points, dtype=np.float64).reshape(len(points), dim)
+    except ValueError:
+        # Ragged rows or rows of another length; anything else re-raises.
+        row = next((k for k, p in enumerate(points) if len(p) != dim), None)
+        if row is None:
+            raise
+        raise DomainViolation(
+            f"point has {len(points[row])} coordinates, expected {dim}", row
+        ) from None
+    # A NaN makes the maximum NaN, which fails the comparison.
+    if np.abs(x).max(initial=0.0) <= 1.0:
+        return x
+    inside = np.abs(x) <= 1.0 + _DOMAIN_SLACK
+    if not inside.all():
+        row, col = np.argwhere(~inside)[0].tolist()
+        xj = float(x[row, col])
+        reason = "outside [-1, 1]" if math.isfinite(xj) else "is not finite"
+        raise DomainViolation(f"coordinate {xj} {reason}", row)
+    return x.clip(-1.0, 1.0)
+
+
+def check_point(x: Sequence[float], dim: int) -> List[float]:
+    """Validate one point of the cube [-1, 1]^dim by check_points' rule."""
+    return check_points([x], dim)[0].tolist()
 
 
 def variety_membership(

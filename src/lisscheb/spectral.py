@@ -120,15 +120,28 @@ def build_gamma(spec: NodeSpec) -> GammaSet:
     return GammaSet(spec, elements, norm, e_counts, special_pos)
 
 
+def contains_rows(spec: NodeSpec, gammas: np.ndarray) -> np.ndarray:
+    """Which rows of an (M, d) integer array lie in the spectral set.
+
+    The set is not built: a row is a member when it lies in the box and
+    meets the pairwise bounds, or when it is the special element.
+    """
+    in_box = ((gammas >= 0) & (gammas < np.array(spec.m))).all(axis=1)
+    keep = in_box & _pairwise_keep(spec, gammas)
+    return keep | (gammas == _special(spec)).all(axis=1)
+
+
 def contains(spec: NodeSpec, gamma: SpectralIndex) -> bool:
-    """Membership test for the spectral set, without building it."""
+    """Membership test for one tuple: the one-row case of contains_rows."""
     if len(gamma) != spec.dim:
         return False
-    if tuple(gamma) == _special(spec):
-        return True
-    if not all(0 <= g < mj for g, mj in zip(gamma, spec.m)):
+    try:
+        row = np.array([gamma], dtype=np.int64)
+    except OverflowError:  # beyond int64, so far outside every box
         return False
-    return bool(_pairwise_keep(spec, np.array([gamma], dtype=np.int64))[0])
+    if row.tolist() != [list(gamma)]:  # a fractional entry was truncated
+        return False
+    return bool(contains_rows(spec, row)[0])
 
 
 def involution(m: Tuple[int, ...], gamma: SpectralIndex) -> SpectralIndex:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lisscheb import interp
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import DomainViolation, IndexOutOfRange, SpecMismatch
 from lisscheb.interp import (
@@ -81,6 +82,98 @@ def test_expansion_eval_simple():
     assert expansion_eval(single, x) == pytest.approx(
         3.0 * cheb_T_eval((2, 1), x), abs=1e-14
     )
+
+
+# The interp_nd_small benchmark ladder, a large 2-D spec, shifted (5,3)
+# and a one-dimensional spec.
+BATCH_SPECS = [
+    NodeSpec(n=validate_pairwise_coprime(nv), kappa=kv)
+    for nv, kv in [
+        ((13, 11, 7, 5), None),
+        ((11, 9, 7, 5, 2), None),
+        ((7, 5, 3, 2), (0, 1, 0, 1)),
+        ((9, 7, 4), (1, 0, 0)),
+        ((31, 29, 16), None),
+        ((129, 128), None),
+        ((5, 3), (0, 1)),
+        ((12,), None),
+    ]
+]
+
+
+def _batch_points(rng, dim, count):
+    """Random points plus the corners, a zero and points within the slack."""
+    x = rng.uniform(-1.0, 1.0, size=(count, dim))
+    x[0], x[1], x[2] = 1.0, -1.0, -0.0
+    x[3], x[4] = 1.0 + 1e-13, -1.0 - 1e-13
+    x[5, 0] = 1.0 + 1e-12
+    return x
+
+
+def _per_point(p, x):
+    return np.array([expansion_eval(p, pt) for pt in x.tolist()])
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS)
+@pytest.mark.parametrize("kind", ["real", "complex", "sparse"])
+def test_batched_eval_is_bit_identical(spec, kind, monkeypatch):
+    rng = np.random.default_rng(31)
+    gs = build_gamma(spec)
+    gammas = list(gs)
+    values = rng.uniform(-1.0, 1.0, size=len(gs))
+    if kind == "complex":
+        values = values + 1j * rng.uniform(-1.0, 1.0, size=len(gs))
+    if kind == "sparse":
+        # A third of the set, in shuffled order: the sum follows the dict.
+        keep = rng.permutation(len(gs))[: max(1, len(gs) // 3)]
+        gammas = [gammas[k] for k in keep]
+        values = values[keep]
+    p = ChebExpansion(gamma_set=gs, coeffs=dict(zip(gammas, values.tolist())))
+    x = _batch_points(rng, spec.dim, 24)
+    want = _per_point(p, x)
+
+    got = expansion_eval(p, x)
+    assert got.shape == (24,)
+    assert got.dtype == (np.complex128 if kind == "complex" else np.float64)
+    assert np.array_equal(got, want)
+    # Points within the slack are clamped, as the one-point path does.
+    assert np.array_equal(got, expansion_eval(p, np.clip(x, -1.0, 1.0)))
+    # Blocks of five points: the block boundaries change nothing.
+    monkeypatch.setattr(interp, "_EVAL_BLOCK", 5 * len(p.coeffs))
+    assert np.array_equal(expansion_eval(p, x), want)
+
+
+def test_batched_eval_edge_cases():
+    spec = NodeSpec(n=N53)
+    gs = build_gamma(spec)
+    x = np.array([[0.2, -0.7], [1.0, 0.5], [-0.3, 0.0]])
+    zero = expansion_eval(ChebExpansion(gamma_set=gs, coeffs={}), x)
+    assert zero.dtype == np.float64 and np.array_equal(zero, np.zeros(3))
+
+    p = ChebExpansion(gamma_set=gs, coeffs={(2, 1): 3.0, (0, 0): -1.0})
+    empty = expansion_eval(p, np.empty((0, 2)))
+    assert empty.shape == (0,)
+    # A list of points is batched too; a single point stays a scalar.
+    assert np.array_equal(expansion_eval(p, x.tolist()), _per_point(p, x))
+    value = expansion_eval(p, (0.4, -0.6))
+    assert isinstance(value, float) and np.ndim(value) == 0
+    # The one-point sum starts from 0.0, so a lone -0.0 term gives 0.0.
+    odd = ChebExpansion(gamma_set=gs, coeffs={(1, 0): 1.0})
+    assert not np.signbit(expansion_eval(odd, (-0.0, 0.5)))
+    assert not np.signbit(expansion_eval(odd, [[-0.0, 0.5]])[0])
+
+
+@pytest.mark.parametrize("bad, row, match", [
+    ([[0.1, 0.2], [0.1, 0.2, 0.3]], 1, "point has 3 coordinates, expected 2"),
+    (np.zeros((3, 1)), 0, "point has 1 coordinates, expected 2"),
+    ([[0.1, 0.2], [0.3, 0.4], [math.nan, 1.5]], 2, "coordinate nan is not"),
+])
+def test_batched_eval_rejects_bad_points(bad, row, match):
+    gs = build_gamma(NodeSpec(n=N53))
+    p = ChebExpansion(gamma_set=gs, coeffs={(2, 1): 3.0})
+    with pytest.raises(DomainViolation, match=match) as info:
+        expansion_eval(p, bad)
+    assert info.value.row == row
 
 
 def test_recurrence_matches_arccos_formula():

@@ -18,6 +18,8 @@ from lisscheb.nodes import (
     build_node_set,
     cgl_point,
     class_map_shifted,
+    check_point,
+    check_points,
     class_map_standard,
     variety_membership,
 )
@@ -195,17 +197,43 @@ def test_variety_counterexamples():
     )
 
 
-@pytest.mark.parametrize("x, match", [
+BAD_POINTS = [
     ((math.nan, math.nan), "not finite"),
     ((math.inf, 1.0), "not finite"),
     ((1.0,), "1 coordinates, expected 2"),
     ((1.0, 1.0, 1.0), "3 coordinates, expected 2"),
     ((1.5, 1.0), "outside"),
     ((1.0, -1.0 - 1e-9), "outside"),
-])
+]
+
+
+@pytest.mark.parametrize("x, match", BAD_POINTS)
 def test_variety_membership_rejects_bad_points(x, match):
     with pytest.raises(DomainViolation, match=match):
         variety_membership(NodeSpec(n=N53), x)
+
+
+@pytest.mark.parametrize("x, match", BAD_POINTS)
+def test_check_points_names_the_bad_row(x, match):
+    # check_point is the one-row case: same message, and row 0.
+    with pytest.raises(DomainViolation, match=match) as one:
+        check_point(x, 2)
+    assert one.value.row == 0
+    good = [(0.5, -0.25), (1.0, -1.0)]
+    with pytest.raises(DomainViolation) as batch:
+        check_points(good + [x] + good, 2)
+    assert str(batch.value) == str(one.value)
+    assert batch.value.row == 2
+
+
+def test_check_points_clamps_the_slack():
+    x = np.array([[1.0 + 1e-13, -1.0 - 1e-12], [0.25, -0.0]])
+    got = check_points(x, 2)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, [[1.0, -1.0], [0.25, 0.0]])
+    assert x[0, 0] > 1.0  # the input is not modified
+    assert check_point(x[0], 2) == [1.0, -1.0]
+    assert check_points([], 2).shape == (0, 2)
 
 
 def test_variety_membership_keeps_rounding_slack():

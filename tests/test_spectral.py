@@ -6,7 +6,13 @@ import pytest
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import NotInGammaSet
 from lisscheb.nodes import NodeSpec, build_node_set
-from lisscheb.spectral import build_gamma, contains, involution, norm_sq
+from lisscheb.spectral import (
+    build_gamma,
+    contains,
+    contains_rows,
+    involution,
+    norm_sq,
+)
 
 N53 = validate_pairwise_coprime((5, 3))
 
@@ -152,12 +158,17 @@ def test_contains_agrees_with_enumeration(spec):
     gs = build_gamma(spec)
     members = set(gs)
     box = [mj + 1 for mj in spec.m]
-    for g in itertools.product(*(range(b + 1) for b in box)):
+    cand = list(itertools.product(*(range(-1, b + 1) for b in box)))
+    for g in cand:
         assert contains(spec, g) == (g in members)
+    rows = contains_rows(spec, np.array(cand, dtype=np.int64))
+    assert rows.tolist() == [g in members for g in cand]
     zero = (0,) * spec.dim
     assert contains(spec, zero)
-    for bad in (zero + (0,), zero[1:], (-1,) + zero[1:], (10**30,) + zero[1:]):
+    for bad in (zero + (0,), zero[1:], (-1,) + zero[1:], (10**30,) + zero[1:],
+                (0.5,) + zero[1:], (-0.5,) + zero[1:]):
         assert contains(spec, bad) is False
+    assert contains(spec, (1.0,) + zero[1:])
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
