@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,15 +22,12 @@ from . import interp, quad, transform, verify
 from .congruence import integer_tuple, validate_pairwise_coprime
 from .curves import LCCurve, sample_curve
 from .errors import DomainViolation, InvalidParameter, LisschebError
-from .nodes import NodeSet, NodeSpec, build_node_set, check_points
-from .spectral import build_gamma, contains, contains_rows
+from .nodes import NodeSet, NodeSpec, build_node_set
+from .spectral import build_gamma, contains_rows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
-
-# Data-file rows that _read_samples converts at once.
-_SAMPLE_ROWS = 1024
 
 
 def _fmt(v: float) -> str:
@@ -184,42 +181,6 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def _read_samples(spec: NodeSpec, path: str) -> transform.SampleVector:
-    """The samples of a data file: a header, then d index columns and a value.
-
-    Rows are converted column by column, _SAMPLE_ROWS at a time.  A chunk
-    with a row of another length, a cell that does not parse or a repeated
-    index sends the file to _read_samples_by_row, which names the first bad
-    line.
-    """
-    d = spec.dim
-    values: Dict[Tuple[int, ...], float] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        if next(reader, None) is None:
-            raise LisschebError(f"empty data file {path}")
-        while rows := list(islice(reader, _SAMPLE_ROWS)):
-            if not _add_sample_rows(values, rows, d):
-                return _read_samples_by_row(spec, path)
-    return transform.SampleVector(spec=spec, values=values)
-
-
-def _add_sample_rows(values: dict, rows: List[List[str]], d: int) -> bool:
-    """Add well-formed sample rows to values; False if any row is not."""
-    if set(map(len, rows)) != {d + 1}:
-        return False
-    cols = list(zip(*rows))
-    try:
-        keys = [list(map(int, col)) for col in cols[:d]]
-        new = list(map(float, cols[d]))
-    except ValueError:
-        return False
-    count = len(values)
-    values.update(zip(zip(*keys), new))
-    return len(values) == count + len(rows)
-
-
-def _read_samples_by_row(spec: NodeSpec, path: str) -> transform.SampleVector:
-    """_read_samples one row at a time, raising at the first bad line."""
     d = spec.dim
     values: Dict[Tuple[int, ...], float] = {}
     with open(path, newline="") as handle:
@@ -313,11 +274,11 @@ def _load_expansion(path: str):
         entries = payload["coefficients"]
         gammas = [tuple(entry["gamma"]) for entry in entries]
         values = [float(entry["value"]) for entry in entries]
+        coeffs = dict(zip(gammas, values))
     except KeyError as exc:
         raise LisschebError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise LisschebError(f"{path}: malformed expansion: {exc}") from None
-    coeffs = dict(zip(gammas, values))
     # Plain JSON ints pass in bulk; anything else is checked entry by entry.
     if len(coeffs) < len(gammas) or set(map(type, chain(*gammas))) - {int}:
         _check_gamma_entries(path, gammas)
@@ -340,21 +301,19 @@ def _load_expansion(path: str):
 
 
 def _gamma_inside(spec: NodeSpec, gammas: List[tuple]) -> np.ndarray:
-    """Which integer gamma entries lie in the spec's spectral set.
+    """Which gamma entries, tuples of ints, lie in the spec's spectral set.
 
-    Entries of the spec's length that fit int64 are tested at once by
-    contains_rows; otherwise its one-row case contains tests them one by
-    one.
+    An entry of another length is outside.  contains_rows tests the rest at
+    once, each int clamped to [-1, max(m) + 1] first, which keeps an int
+    outside the box outside and makes it fit int64.
     """
     d = spec.dim
-    if set(map(len, gammas)) <= {d}:
-        try:
-            rows = np.fromiter(chain(*gammas), np.int64, len(gammas) * d)
-        except OverflowError:
-            pass
-        else:
-            return contains_rows(spec, rows.reshape(-1, d))
-    return np.array([contains(spec, g) for g in gammas], dtype=bool)
+    right = np.fromiter(map(len, gammas), np.int64, len(gammas)) == d
+    flat = np.fromiter(chain.from_iterable(compress(gammas, right)), object)
+    rows = flat.clip(-1, max(spec.m) + 1).astype(np.int64).reshape(-1, d)
+    inside = np.zeros(len(gammas), dtype=bool)
+    inside[right] = contains_rows(spec, rows)
+    return inside
 
 
 def _read_points(path: str) -> Tuple[List[List[float]], List[int]]:
@@ -378,12 +337,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     spec, expansion = _load_expansion(args.expansion)
     rows, lines = _read_points(args.points)
     try:
-        points = check_points(rows, spec.dim)
+        values = interp.expansion_eval(expansion, rows).tolist() if rows else []
     except DomainViolation as exc:
         raise LisschebError(
             f"{args.points}, line {lines[exc.row]}: {exc}"
         ) from None
-    values = interp.expansion_eval(expansion, points).tolist()
     header = [f"x_{j + 1}" for j in range(spec.dim)] + ["value"]
     _write_csv(args.out, header, (
         [_fmt(c) for c in x] + [_fmt(v)] for x, v in zip(rows, values)

@@ -135,13 +135,11 @@ def contains(spec: NodeSpec, gamma: SpectralIndex) -> bool:
     """Membership test for one tuple: the one-row case of contains_rows."""
     if len(gamma) != spec.dim:
         return False
-    try:
-        row = np.array([gamma], dtype=np.int64)
-    except OverflowError:  # beyond int64, so far outside every box
+    # An entry outside [0, m_j] is outside the set, and ints beyond int64
+    # would not fit the row.
+    if not all(0 <= g <= mj for g, mj in zip(gamma, spec.m)):
         return False
-    if row.tolist() != [list(gamma)]:  # a fractional entry was truncated
-        return False
-    return bool(contains_rows(spec, row)[0])
+    return bool(contains_rows(spec, np.array([gamma], dtype=np.int64))[0])
 
 
 def involution(m: Tuple[int, ...], gamma: SpectralIndex) -> SpectralIndex:

@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-from lisscheb import cli
 from lisscheb.cli import main
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.interp import ChebExpansion, expansion_eval, interpolate
@@ -247,6 +246,16 @@ def test_eval_output_matches_per_point_eval(tmp_path, nv, kappa):
     assert out.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
+def test_eval_header_only_points_file(tmp_path):
+    expansion = _expansion_file(tmp_path, NodeSpec(n=N53))
+    points = tmp_path / "points.csv"
+    points.write_text("x_1,x_2\n")
+    out = tmp_path / "values.csv"
+    assert run(["eval", "--expansion", str(expansion), "--points", str(points),
+                "--out", str(out)]) == 0
+    assert out.read_text() == "x_1,x_2,value\n"
+
+
 def test_eval_many_points_is_fast_and_blocked(tmp_path):
     # 2,000 points on (129,128): about 12 s one point at a time, 0.25 to
     # 0.6 s batched.  The batched kernel works in blocks of 2^18 terms and
@@ -332,29 +341,6 @@ def test_repeated_sample_row_exit_1(tmp_path, capsys):
                             "repeated index (0, 0)")
 
 
-def test_samples_read_in_chunks_match_row_by_row(tmp_path, capsys,
-                                                 monkeypatch):
-    # Chunks of five rows: the 20 nodes of (7,4) span four of them.
-    monkeypatch.setattr(cli, "_SAMPLE_ROWS", 5)
-    spec = NodeSpec(n=validate_pairwise_coprime((7, 4)))
-    data, ns = _write_node_data(tmp_path, spec, lambda x: x[0] - 2 * x[1])
-    assert len(ns) == 20
-    fast = cli._read_samples(spec, str(data))
-    slow = cli._read_samples_by_row(spec, str(data))
-    assert list(fast.values.items()) == list(slow.values.items())
-    assert all(type(v) is int for key in fast.values for v in key)
-    # Errors in a later chunk still name their line.
-    lines = data.read_text().splitlines()
-    for line, bad, needle in [(13, "1.5,0,1.0", "line 13"),
-                              (17, "0,0,1.0", "line 17: repeated index (0, 0)"),
-                              (19, "0,0", "expected 2 index columns")]:
-        edited = list(lines)
-        edited[line - 1] = bad
-        data.write_text("\n".join(edited) + "\n")
-        code = run(["quad", "--n", "7,4", "--data", str(data)])
-        _assert_clean_error(capsys, code, needle)
-
-
 def test_overflowing_data_exit_1(tmp_path, capsys):
     spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
     data, _ = _write_node_data(tmp_path, spec, lambda x: 1.7e308)
@@ -407,6 +393,9 @@ def test_eval_non_numeric_points_exit_1(tmp_path, capsys):
      ["coefficient entry 1", "value -inf is not finite"]),
     ([{"gamma": [0, 0], "value": 10**400}],
      ["malformed expansion", "too large to convert to float"]),
+    # a list inside a gamma makes the tuple unhashable
+    ([{"gamma": [[0], 1], "value": 1.0}],
+     ["malformed expansion", "unhashable type"]),
 ])
 def test_eval_bad_gamma_entry_exit_1(tmp_path, capsys, entries, needles):
     expansion = tmp_path / "expansion.json"
