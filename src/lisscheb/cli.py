@@ -9,6 +9,7 @@ order.  Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -61,32 +62,36 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated shift vector (shifted only)")
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """The file at path, opened for writing, or stdout (never closed)."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
 
 
 def _write_csv(path: Optional[str], header: List[str], rows) -> None:
-    out, close = _open_out(path)
-    try:
+    with _output(path) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if close:
-            out.close()
+        writer.writerows(rows)
 
 
 def _write_json(path: Optional[str], payload) -> None:
-    out, close = _open_out(path)
-    try:
+    with _output(path) as out:
         json.dump(payload, out, indent=2, sort_keys=False)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
+
+
+def _spec_header(spec: NodeSpec) -> Dict[str, object]:
+    """The variant, n and kappa entries that open every JSON document."""
+    return {
+        "variant": "shifted" if spec.is_shifted else "standard",
+        "n": list(spec.n.entries),
+        "kappa": list(spec.kappa) if spec.is_shifted else None,
+    }
 
 
 def _node_rows(ns: NodeSet):
@@ -103,9 +108,7 @@ def cmd_nodes(args: argparse.Namespace) -> int:
     d = spec.dim
     if args.format == "json":
         payload = {
-            "variant": "shifted" if spec.is_shifted else "standard",
-            "n": list(spec.n.entries),
-            "kappa": list(spec.kappa) if spec.is_shifted else None,
+            **_spec_header(spec),
             "nodes": [
                 {
                     "index": index,
@@ -156,9 +159,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     d = spec.dim
     if args.format == "json":
         payload = {
-            "variant": "shifted" if spec.is_shifted else "standard",
-            "n": list(spec.n.entries),
-            "kappa": list(spec.kappa) if spec.is_shifted else None,
+            **_spec_header(spec),
             "elements": [
                 {
                     "gamma": list(gamma),
@@ -216,28 +217,20 @@ def _write_expansion(path: Optional[str], spec: NodeSpec, expansion) -> None:
     streamed one by one rather than joined into one string.  Python floats
     survive "%.17g", so the values are those of _fmt.
     """
-    head = json.dumps({
-        "variant": "shifted" if spec.is_shifted else "standard",
-        "n": list(spec.n.entries),
-        "kappa": list(spec.kappa) if spec.is_shifted else None,
-    }, indent=2)
+    head = json.dumps(_spec_header(spec), indent=2)
     values = json.dumps(list(expansion.coeffs.values()))[1:-1].split(", ")
     entry = (
         '\n    {\n      "gamma": [\n'
         + ",\n".join(["        %d"] * spec.dim)
         + '\n      ],\n      "value": %s\n    }'
     )
-    out, close = _open_out(path)
-    try:
+    with _output(path) as out:
         out.write(head[:-2] + ',\n  "coefficients": [')
         sep = ""
         for gamma, value in zip(expansion.coeffs, values):
             out.write(sep + entry % (*gamma, value))
             sep = ","
         out.write("\n  ]\n}\n")
-    finally:
-        if close:
-            out.close()
 
 
 def cmd_interp(args: argparse.Namespace) -> int:
@@ -353,21 +346,15 @@ def cmd_quad(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     h = _read_samples(spec, args.data)
     value = quad.integrate(h)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(_fmt(value) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     suites = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = verify.run_suites(
-        spec, suites, tamper_weight=args.tamper_weight
-    )
+    results = verify.run_suites(spec, suites)
     all_ok = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -428,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--suite", choices=("all",) + verify.SUITE_NAMES,
                    default="all")
-    p.add_argument("--tamper-weight", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return parser
 

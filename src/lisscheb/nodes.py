@@ -181,9 +181,9 @@ def chi_tables(spec: NodeSpec) -> List[np.ndarray]:
     ]
 
 
-def check_box_size(spec: NodeSpec) -> None:
-    """Raise OverflowDimension if the spec's grid box exceeds MAX_BOX_CELLS."""
-    cells = math.prod(mj + 1 for mj in spec.m)
+def check_box_size(corner: Sequence[int]) -> None:
+    """Raise OverflowDimension if the box [0, corner] exceeds MAX_BOX_CELLS."""
+    cells = math.prod(c + 1 for c in corner)
     if cells > MAX_BOX_CELLS:
         raise OverflowDimension(
             f"grid box of {cells} cells exceeds the limit of "
@@ -199,7 +199,7 @@ def _index_grid(axis_values: Sequence[np.ndarray]) -> np.ndarray:
 
 def build_node_set(spec: NodeSpec) -> NodeSet:
     """Enumerate the node family of a spec with points, weights and parities."""
-    check_box_size(spec)
+    check_box_size(spec.m)
     d = spec.dim
     m = spec.m
     kappa = spec.kappa if spec.is_shifted else (0,) * d

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .nodes import NodeSet
-from .spectral import SpectralIndex
+from .congruence import integer_tuple
+from .errors import InvalidParameter
+from .nodes import NodeSet, check_box_size
 from .transform import (
     SampleVector,
     _scatter_grid,
@@ -26,10 +27,12 @@ from .transform import (
 
 
 @dataclass(frozen=True)
-class ExactnessEntry:
-    rule_value: float
-    true_value: float
-    ok: bool
+class ExactnessTable:
+    """Arrays of shape (box_j + 1), indexed by gamma."""
+
+    rule_value: np.ndarray
+    true_value: np.ndarray
+    ok: np.ndarray
 
 
 def integrate(h: SampleVector) -> float:
@@ -39,7 +42,7 @@ def integrate(h: SampleVector) -> float:
 
 def exactness_table(
     node_set: NodeSet, box: Sequence[int], tol: float = 1e-12
-) -> Dict[SpectralIndex, ExactnessEntry]:
+) -> ExactnessTable:
     """Check the rule of a node set against every basis polynomial in a box.
 
     The rule audited is the node set's own weights w_i.  For each gamma
@@ -52,26 +55,30 @@ def exactness_table(
     the (m_j + 1) box grid gives S_k for 0 <= k_j <= m_j.  Since
     cos(pi k i / m) is even and 2m-periodic in k, S_k = S_{2m-k} and any
     frequency reads S at min(k mod 2m_j, 2m_j - k mod 2m_j), so every
-    box_j >= 0 is accepted, including boxes wider than 2m_j - 1.
+    box_j >= 0 is accepted, including boxes wider than 2m_j - 1.  Raises
+    InvalidParameter for any other box, OverflowDimension for a box of more
+    than nodes.MAX_BOX_CELLS cells.
     """
     spec = node_set.spec
+    box = integer_tuple(box, "box")
+    if len(box) != spec.dim or min(box) < 0:
+        raise InvalidParameter(f"box needs {spec.dim} entries >= 0: {box}")
+    check_box_size(box)
     sums = _transform_all_axes(_scatter_grid(node_set, node_set.weights))
     folded = []
     for b, mj in zip(box, spec.m):
         k = np.arange(b + 1) % (2 * mj)
         folded.append(np.minimum(k, 2 * mj - k))
-    rules = sums[np.ix_(*folded)].ravel().tolist()
+    rule = sums[np.ix_(*folded)]
 
-    table: Dict[SpectralIndex, ExactnessEntry] = {}
-    gammas = itertools.product(*(range(b + 1) for b in box))
-    for gamma, rule in zip(gammas, rules):
-        predicted = alias_integral(spec, gamma)
-        true = 1.0 if all(g == 0 for g in gamma) else 0.0
-        if predicted == 0:
-            ok = abs(rule - true) < tol
-        else:
-            ok = abs(rule - predicted) < tol
-        table[gamma] = ExactnessEntry(
-            rule_value=rule, true_value=true, ok=ok
-        )
-    return table
+    true = np.zeros(rule.shape)
+    true[(0,) * spec.dim] = 1.0
+    # On the lattice a nonzero alias value replaces the integral as target.
+    target = true.copy()
+    step = 2 if spec.is_shifted else 1
+    for gamma in itertools.product(
+        *(range(0, b + 1, step * nj) for b, nj in zip(box, spec.n.entries))
+    ):
+        target[gamma] = alias_integral(spec, gamma) or target[gamma]
+    ok = np.abs(rule - target) < tol
+    return ExactnessTable(rule_value=rule, true_value=true, ok=ok)

@@ -107,7 +107,7 @@ def _norm_terms(spec: NodeSpec, elements: np.ndarray):
 
 def build_gamma(spec: NodeSpec) -> GammaSet:
     """Enumerate the spectral set of a spec in graded lexicographic order."""
-    check_box_size(spec)
+    check_box_size(spec.m)
     cand = _index_grid([np.arange(mj, dtype=np.int64) for mj in spec.m])
     cand = cand[_pairwise_keep(spec, cand)]
 

@@ -12,12 +12,14 @@ FFT of the mirror extension.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from .errors import DomainViolation, IndexOutOfRange, SpecMismatch
+from .errors import DomainViolation, IndexOutOfRange, InvalidParameter
+from .errors import SpecMismatch
 from .nodes import MultiIndex, NodeSet, NodeSpec, build_node_set, chi_tables
 from .spectral import GammaSet, SpectralIndex, build_gamma
 from .trig import cos_pi_ratio
@@ -77,8 +79,8 @@ def aligned_values(
 ) -> np.ndarray:
     """Order the sample dict along the node set, validating its domain.
 
-    Raises IndexOutOfRange for a sample count or index that does not match
-    the node set and DomainViolation for a NaN or infinite sample.
+    Raises IndexOutOfRange for a wrong sample count or index,
+    InvalidParameter for a non-number and DomainViolation for NaN or inf.
     """
     if h.spec != node_set.spec:
         raise SpecMismatch("sample vector and node set use different specs")
@@ -87,16 +89,28 @@ def aligned_values(
         raise IndexOutOfRange(
             f"sample vector has {len(h.values)} entries, expected {n}"
         )
-    is_complex = any(isinstance(v, complex) for v in h.values.values())
-    out = np.empty(n, dtype=np.complex128 if is_complex else np.float64)
     lookup = node_set.lookup
     try:
-        for key, val in h.values.items():
-            out[lookup[key]] = val
-    except KeyError:
+        pos = np.fromiter(map(lookup.__getitem__, h.values), np.intp, n)
+    except KeyError as exc:
         raise IndexOutOfRange(
-            f"sample index {key} is not in the index set"
+            f"sample index {exc.args[0]} is not in the index set"
         ) from None
+    try:
+        vals = np.array(list(h.values.values()))
+    except ValueError:  # sequences of unequal length among the values
+        vals = np.array(None)
+    kind = vals.dtype.kind
+    if vals.ndim != 1 or kind not in "biufc":
+        for key, val in h.values.items():
+            if not isinstance(val, numbers.Number):
+                raise InvalidParameter(
+                    f"sample {val!r} at node {key} is not a number"
+                )
+        # Numbers numpy keeps as objects: ints beyond 64 bits, Fraction.
+        kind = "c" if any(isinstance(v, complex) for v in vals) else "f"
+    out = np.empty(n, dtype=np.complex128 if kind == "c" else np.float64)
+    out[pos] = vals
     finite = np.isfinite(out)
     if not finite.all():
         pos = int(np.argmin(finite))

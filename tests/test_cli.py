@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lisscheb import verify
 from lisscheb.cli import main
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.interp import ChebExpansion, expansion_eval, interpolate
@@ -441,7 +442,7 @@ def test_quad_command(tmp_path, capsys):
     assert float(out) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_verify_exit_codes(capsys):
+def test_verify_exit_codes(capsys, monkeypatch):
     assert run(["verify", "--n", "5,3"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
@@ -452,7 +453,20 @@ def test_verify_exit_codes(capsys):
     ]) == 0
     capsys.readouterr()
 
-    assert run(["verify", "--n", "5,3", "--tamper-weight"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--n", "5,3", "--tamper-weight"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    build = verify.build_node_set
+
+    def tampered(spec):
+        node_set = build(spec)
+        node_set.weights[0] *= 1.0 + 1e-6
+        return node_set
+
+    monkeypatch.setattr(verify, "build_node_set", tampered)
+    assert run(["verify", "--n", "5,3"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
 

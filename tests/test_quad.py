@@ -1,16 +1,25 @@
 import functools
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lisscheb.congruence import validate_pairwise_coprime
+from lisscheb.errors import InvalidParameter, OverflowDimension
 from lisscheb.nodes import NodeSpec, build_node_set
 from lisscheb.quad import exactness_table, integrate
-from lisscheb.transform import SampleVector, alias_integral, chi_eval
+from lisscheb.transform import (
+    SampleVector,
+    alias_integral,
+    chi_eval,
+    chi_matrix,
+)
 from lisscheb.trig import cos_pi_ratio
-from lisscheb.verify import run_suites
+from lisscheb.verify import run_suites, suite_curve, suite_quadrature
 
 N53 = validate_pairwise_coprime((5, 3))
 
@@ -89,26 +98,47 @@ def test_alias_frequency_integrates_to_one():
 def test_exactness_table_standard():
     spec = NodeSpec(n=N53)
     table = exactness_table(build_node_set(spec), [9, 5])
-    assert all(entry.ok for entry in table.values())
-    assert table[(0, 0)].rule_value == pytest.approx(1.0)
-    assert table[(0, 0)].true_value == 1.0
-    assert table[(5, 3)].rule_value == pytest.approx(1.0, abs=1e-14)
-    assert table[(5, 3)].true_value == 0.0
-    assert table[(2, 1)].rule_value == pytest.approx(0.0, abs=1e-14)
+    for values in (table.rule_value, table.true_value, table.ok):
+        assert values.shape == (10, 6)
+    assert table.ok.all()
+    assert table.rule_value[0, 0] == pytest.approx(1.0)
+    assert table.true_value[0, 0] == 1.0
+    assert table.rule_value[5, 3] == pytest.approx(1.0, abs=1e-14)
+    assert table.true_value[5, 3] == 0.0
+    assert table.rule_value[2, 1] == pytest.approx(0.0, abs=1e-14)
+    assert np.count_nonzero(table.true_value) == 1
 
 
 def test_exactness_table_shifted_signed_alias():
     spec = NodeSpec(n=N53, kappa=(0, 1))
     table = exactness_table(build_node_set(spec), [11, 7])
-    assert all(entry.ok for entry in table.values())
-    assert table[(10, 6)].rule_value == pytest.approx(-1.0, abs=1e-14)
+    assert table.ok.shape == (12, 8)
+    assert table.ok.all()
+    assert table.rule_value[10, 6] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_exactness_table_flags_a_wrong_rule():
     spec = NodeSpec(n=N53)
     table = exactness_table(build_node_set(spec), [9, 5], tol=1e-30)
     # an absurdly tight tolerance must produce at least one failure
-    assert any(not entry.ok for entry in table.values())
+    assert not table.ok.all()
+
+
+@pytest.mark.parametrize(
+    "box, error, match",
+    [
+        ([9], InvalidParameter, "2 entries >= 0"),
+        ([9, 5, 3], InvalidParameter, "2 entries >= 0"),
+        ([-1, 5], InvalidParameter, "2 entries >= 0"),
+        ([9.5, 5], InvalidParameter, "must be integers, got 9.5"),
+        ([True, 5], InvalidParameter, "must be integers, got True"),
+        ([10**30, 5], OverflowDimension, "exceeds the limit"),
+    ],
+)
+def test_exactness_table_rejects_bad_boxes(box, error, match):
+    node_set = build_node_set(NodeSpec(n=N53))
+    with pytest.raises(error, match=match):
+        exactness_table(node_set, box)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -151,9 +181,9 @@ def test_exactness_table_matches_oracle(spec, wide):
     table = exactness_table(build_node_set(spec), box, tol=tol)
     acc = node_rule(spec, box)
     gammas = list(itertools.product(*(range(b + 1) for b in box)))
-    assert len(table) == len(gammas)
-    rules = np.array([table[g].rule_value for g in gammas])
-    oks = np.array([table[g].ok for g in gammas])
+    assert table.rule_value.shape == table.ok.shape == acc.shape
+    rules = table.rule_value.ravel()
+    oks = table.ok.ravel()
     # the alias value where it is nonzero, else the integral
     targets = np.array(
         [alias_integral(spec, g) or float(not any(g)) for g in gammas]
@@ -164,9 +194,10 @@ def test_exactness_table_matches_oracle(spec, wide):
 
 
 def test_tampered_weight_fails_both_quadrature_checks():
-    spec = NodeSpec(n=N53)
-    assert all(r.passed for r in run_suites(spec, ("quadrature",)))
-    results = run_suites(spec, ("quadrature",), tamper_weight=True)
+    node_set = build_node_set(NodeSpec(n=N53))
+    assert all(r.passed for r in suite_quadrature(node_set))
+    node_set.weights[0] *= 1.0 + 1e-6
+    results = suite_quadrature(node_set)
     assert [r.name for r in results] == [
         "weights normalized",
         "rule equals alias prediction on the box",
@@ -181,3 +212,45 @@ def test_quadrature_suite_scales():
     elapsed = time.perf_counter() - start
     assert all(r.passed for r in results)
     assert elapsed < 0.5, f"quadrature suite took {elapsed:.3f} s"
+
+
+def _coprime_vectors(limit, max_dim):
+    """Every pairwise-coprime n of at most max_dim entries, prod(n) <= limit."""
+    out = []
+
+    def grow(prefix, product):
+        if prefix:
+            out.append(tuple(prefix))
+        if len(prefix) < max_dim:
+            for e in range(1, limit // product + 1):
+                if all(math.gcd(e, p) == 1 for p in prefix):
+                    grow(prefix + [e], product * e)
+
+    grow([], 1)
+    return out
+
+
+@st.composite
+def small_specs(draw):
+    n = draw(st.sampled_from(_coprime_vectors(200, 3)))
+    kappa = draw(st.none() | st.tuples(*[st.integers(0, 1) for _ in n]))
+    return NodeSpec(n=validate_pairwise_coprime(n), kappa=kappa)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(spec=small_specs())
+def test_rule_and_curve_properties(spec):
+    ns = build_node_set(spec)
+    narrow = exactness_table(ns, [2 * mj - 1 for mj in spec.m])
+    wide = exactness_table(ns, [2 * mj + 1 for mj in spec.m])
+    assert narrow.ok.all() and wide.ok.all()
+    rows = np.indices(narrow.ok.shape).reshape(spec.dim, -1).T
+    want = np.concatenate([
+        chi_matrix(spec, rows[k : k + 1024], ns.indices) @ ns.weights
+        for k in range(0, len(rows), 1024)
+    ])
+    assert np.abs(narrow.rule_value.ravel() - want).max() <= 1e-13
+    # The narrow box is the corner [0, 2m - 1] of the wide one.
+    corner = tuple(slice(2 * mj) for mj in spec.m)
+    assert np.array_equal(wide.rule_value[corner], narrow.rule_value)
+    assert all(r.passed for r in suite_curve(ns))

@@ -1,5 +1,6 @@
 import math
 import subprocess
+from fractions import Fraction
 import sys
 import time
 import tracemalloc
@@ -11,7 +12,12 @@ import pytest
 
 from lisscheb import interp, transform, verify
 from lisscheb.congruence import validate_pairwise_coprime
-from lisscheb.errors import DomainViolation, IndexOutOfRange, SpecMismatch
+from lisscheb.errors import (
+    DomainViolation,
+    IndexOutOfRange,
+    InvalidParameter,
+    SpecMismatch,
+)
 from lisscheb.interp import interpolate
 from lisscheb.nodes import NodeSpec, build_node_set
 from lisscheb.quad import integrate
@@ -336,6 +342,41 @@ def test_non_finite_samples_rejected(bad):
     ):
         with pytest.raises(DomainViolation, match=r"\(1, 3\)"):
             op(h)
+
+
+@pytest.mark.parametrize("bad", ["1.5", None, "abc", [1.0], b"1"])
+def test_non_numeric_samples_rejected(bad):
+    spec = NodeSpec(n=N53)
+    values = dict(constant_samples(spec).values)
+    values[(1, 3)] = bad
+    h = SampleVector(spec=spec, values=values)
+    for op in (integrate, interpolate, coefficients_naive):
+        with pytest.raises(
+            InvalidParameter, match=r"at node \(1, 3\) is not a number"
+        ):
+            op(h)
+
+
+@pytest.mark.parametrize(
+    "good, want",
+    [
+        (7, 7.0),
+        (np.int64(-3), -3.0),
+        (2**70, 2.0**70),
+        (np.float32(0.1), float(np.float32(0.1))),
+        (Fraction(1, 3), 1 / 3),
+        (True, 1.0),
+        (np.array(1.5), 1.5),
+    ],
+)
+def test_numeric_samples_keep_their_value(good, want):
+    spec = NodeSpec(n=N53)
+    ns = build_node_set(spec)
+    values = dict(constant_samples(spec).values)
+    values[(1, 3)] = good
+    vals = aligned_values(SampleVector(spec=spec, values=values), ns)
+    assert vals.dtype == np.float64
+    assert vals[ns.lookup[(1, 3)]] == want
 
 
 def test_overflowing_samples_rejected():
