@@ -24,7 +24,7 @@ from .congruence import integer_tuple, validate_pairwise_coprime
 from .curves import LCCurve, sample_curve
 from .errors import DomainViolation, InvalidParameter, LisschebError
 from .nodes import NodeSet, NodeSpec, build_node_set
-from .spectral import build_gamma, contains_rows
+from .spectral import GammaSet, build_gamma
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -218,7 +218,7 @@ def _write_expansion(path: Optional[str], spec: NodeSpec, expansion) -> None:
     survive "%.17g", so the values are those of _fmt.
     """
     head = json.dumps(_spec_header(spec), indent=2)
-    values = json.dumps(list(expansion.coeffs.values()))[1:-1].split(", ")
+    values = json.dumps(expansion.coeffs.tolist())[1:-1].split(", ")
     entry = (
         '\n    {\n      "gamma": [\n'
         + ",\n".join(["        %d"] * spec.dim)
@@ -227,7 +227,7 @@ def _write_expansion(path: Optional[str], spec: NodeSpec, expansion) -> None:
     with _output(path) as out:
         out.write(head[:-2] + ',\n  "coefficients": [')
         sep = ""
-        for gamma, value in zip(expansion.coeffs, values):
+        for gamma, value in zip(expansion.gamma_set, values):
             out.write(sep + entry % (*gamma, value))
             sep = ","
         out.write("\n  ]\n}\n")
@@ -267,13 +267,13 @@ def _load_expansion(path: str):
         entries = payload["coefficients"]
         gammas = [tuple(entry["gamma"]) for entry in entries]
         values = [float(entry["value"]) for entry in entries]
-        coeffs = dict(zip(gammas, values))
+        distinct = len(set(gammas))
     except KeyError as exc:
         raise LisschebError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise LisschebError(f"{path}: malformed expansion: {exc}") from None
     # Plain JSON ints pass in bulk; anything else is checked entry by entry.
-    if len(coeffs) < len(gammas) or set(map(type, chain(*gammas))) - {int}:
+    if distinct < len(gammas) or set(map(type, chain(*gammas))) - {int}:
         _check_gamma_entries(path, gammas)
     finite = np.isfinite(values)
     if not finite.all():
@@ -282,31 +282,31 @@ def _load_expansion(path: str):
             f"{path}, coefficient entry {pos + 1}: "
             f"value {values[pos]} is not finite"
         )
-    inside = _gamma_inside(spec, gammas)
-    if not inside.all():
-        pos = int(np.argmin(inside))
+    gs = build_gamma(spec)
+    positions = _gamma_positions(gs, gammas)
+    if (positions < 0).any():
+        pos = int(np.argmin(positions))
         raise LisschebError(
             f"{path}, coefficient entry {pos + 1}: "
             f"gamma {gammas[pos]} outside the spectral set"
         )
-    gs = build_gamma(spec)
+    coeffs = np.zeros(len(gs))
+    coeffs[positions] = values
     return spec, transform.ChebExpansion(gamma_set=gs, coeffs=coeffs)
 
 
-def _gamma_inside(spec: NodeSpec, gammas: List[tuple]) -> np.ndarray:
-    """Which gamma entries, tuples of ints, lie in the spec's spectral set.
+def _gamma_positions(gs: GammaSet, gammas: List[tuple]) -> np.ndarray:
+    """Positions in gs of gamma entries, tuples of ints; -1 when outside.
 
-    An entry of another length is outside.  contains_rows tests the rest at
-    once, each int clamped to [-1, max(m) + 1] first, which keeps an int
-    outside the box outside and makes it fit int64.
+    An entry of another length is outside; GammaSet.positions maps the
+    rest at once.
     """
-    d = spec.dim
+    d = gs.spec.dim
     right = np.fromiter(map(len, gammas), np.int64, len(gammas)) == d
     flat = np.fromiter(chain.from_iterable(compress(gammas, right)), object)
-    rows = flat.clip(-1, max(spec.m) + 1).astype(np.int64).reshape(-1, d)
-    inside = np.zeros(len(gammas), dtype=bool)
-    inside[right] = contains_rows(spec, rows)
-    return inside
+    out = np.full(len(gammas), -1, dtype=np.intp)
+    out[right] = gs.positions(flat.reshape(-1, d))
+    return out
 
 
 def _read_points(path: str) -> Tuple[List[List[float]], List[int]]:

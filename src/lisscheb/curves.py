@@ -109,6 +109,8 @@ def lc_eval_at_index(curve: LCCurve, l: int) -> Point:
     P_i[n]*(l - kappa_i)*pi / (eps*P[n]); evaluating it through the exact
     reduction makes curve samples bit-identical to node coordinates.
     """
+    if type(l) is not int:  # plain ints, as suite_curve passes, skip the check
+        (l,) = integer_tuple((l,), "parameter index")
     n = curve.n
     denom = curve.epsilon * n.product
     return tuple(
@@ -139,7 +141,7 @@ def normalize(curve: LCCurve) -> NormalForm:
     congruences; the shift always exists.
     """
     if curve.epsilon != 2:
-        raise ValueError("normalize expects an epsilon=2 curve")
+        raise InvalidParameter("normalize expects an epsilon=2 curve")
     n = curve.n
     kappa = curve.kappa
     d = n.dim
@@ -190,6 +192,7 @@ def multiplicity_profile(
     n_i; the curve passes through the sampled point 2**len(M) times per
     period.  l must lie in [0, 2*P[n]).
     """
+    (l,) = integer_tuple((l,), "parameter index")
     if not 0 <= l < 2 * n.product:
         raise IndexOutOfRange(f"l={l} outside [0, {2 * n.product})")
     face = frozenset(i for i, ni in enumerate(n.entries) if l % ni != 0)
@@ -231,6 +234,7 @@ def sample_curve(
     t_range: Tuple[float, float] = (0.0, 2.0 * math.pi),
 ) -> List[Point]:
     """Sample the curve at equispaced parameters over [t0, t1]."""
+    (num_samples,) = integer_tuple((num_samples,), "sample count")
     t0, t1 = t_range
     if t1 < t0:
         raise InvalidRange(f"empty parameter range [{t0}, {t1}]")

@@ -1,16 +1,15 @@
 """Polynomial interpolation: tensor Chebyshev expansions over a spectral set.
 
-An expansion is a coefficient map over the spectral basis T_gamma(x) =
-prod_j cos(gamma_j arccos x_j).  Interpolation of node samples reduces to
-the coefficient transforms of the transform module; the reproducing kernel
-and the fundamental polynomials are materialized as expansions so they can
-be inspected, serialized and re-evaluated.
+An expansion is a coefficient array, in gamma-set order, over the spectral
+basis T_gamma(x) = prod_j cos(gamma_j arccos x_j).  Interpolation of node
+samples reduces to the coefficient transforms of the transform module; the
+reproducing kernel and the fundamental polynomials are materialized as
+expansions so they can be inspected, serialized and re-evaluated.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -77,17 +76,13 @@ def _eval_points(p: ChebExpansion, x: np.ndarray) -> np.ndarray:
     Works through blocks of at most _EVAL_BLOCK term entries.  Each block
     builds its per-axis recurrence tables as _cheb_tables does, multiplies
     the terms in the same axis order as the one-point loop and sums them
-    with a cumulative sum, which adds one term after another in the dict's
+    with a cumulative sum, which adds one term after another in gamma-set
     order, so every value equals the one-point loop's bit for bit.
     """
-    n = len(p.coeffs)
+    g = p.gamma_set.elements
+    c = p.coeffs
+    n = c.shape[0]
     m, d = x.shape
-    if n == 0:
-        return np.zeros(m)
-    g = np.fromiter(chain.from_iterable(p.coeffs), np.int64, n * d)
-    g = g.reshape(n, d)
-    c = np.array(list(p.coeffs.values()))
-    c = c.astype(np.result_type(c, np.float64), copy=False)
     tops = g.max(axis=0).tolist()
     out = np.empty(m, dtype=c.dtype)
     rows = max(1, _EVAL_BLOCK // n)
@@ -107,23 +102,23 @@ def expansion_eval(p: ChebExpansion, x: Sequence[float]) -> Scalar:
     A point of d coordinates gives a scalar.  An (M, d) array gives an
     array of the M values, float, or complex when a coefficient is.  Both
     use recurrence tables of one-dimensional Chebyshev values, so the cost
-    is linear in the spectral set size, and both sum the terms in the same
-    order, so the values agree bit for bit; they match the arccos formula
-    to rounding error.  Points are checked by nodes.check_points' rule.
+    is linear in the spectral set size, and both sum the terms in
+    gamma-set order, so the values agree bit for bit; they match the
+    arccos formula to rounding error.  Points are checked by
+    nodes.check_points' rule.
     """
     gs = p.gamma_set
     # An array of rows, or a sequence of rows even of different lengths.
     if getattr(x, "ndim", 1) == 2 or len(x) and hasattr(x[0], "__len__"):
         return _eval_points(p, check_points(x, gs.spec.dim))
     x = check_point(x, gs.spec.dim)
-    if not p.coeffs:
-        return 0.0
     tables = _cheb_tables(gs, x)
+    columns = [t[gs.elements[:, j]] for j, t in enumerate(tables)]
     acc = 0.0
-    for gamma, c in p.coeffs.items():
+    for c, *ts in zip(p.coeffs, *columns):
         term = c
-        for j, gj in enumerate(gamma):
-            term = term * tables[j][gj]
+        for t in ts:
+            term = term * t
         acc = acc + term
     return acc
 
@@ -171,27 +166,19 @@ def fundamental(spec: NodeSpec, i: MultiIndex) -> ChebExpansion:
     gs = build_gamma(spec)
     row = node_set.indices[pos : pos + 1]
     chi = chi_matrix(spec, gs.elements, row)[:, 0]
-    cvec = node_set.weights[pos] * chi / gs.norm_sq
-    return ChebExpansion(gamma_set=gs, coeffs=dict(zip(gs, cvec.tolist())))
+    return ChebExpansion(
+        gamma_set=gs, coeffs=node_set.weights[pos] * chi / gs.norm_sq
+    )
 
 
 def expansion_inner_product(p: ChebExpansion, q: ChebExpansion) -> Scalar:
     """The weighted-integral inner product, evaluated through orthogonality.
 
-    Equals sum_gamma p_gamma conj(q_gamma) 2^(-e(gamma)); only the shared
-    support contributes.
+    Equals sum_gamma p_gamma conj(q_gamma) 2^(-e(gamma)), one weighted sum
+    over the spectral set.
     """
     if p.gamma_set.spec != q.gamma_set.spec:
         raise SpecMismatch("expansions built from different specs")
-    gs = p.gamma_set
-    lookup = gs.lookup
-    acc = 0.0
-    for gamma, c in p.coeffs.items():
-        other = q.coeffs.get(gamma)
-        if other is None:
-            continue
-        e = int(gs.e_counts[lookup[gamma]])
-        acc = acc + c * np.conj(other) * 2.0 ** (-e)
-    if isinstance(acc, complex) or np.iscomplexobj(acc):
-        return complex(acc)
-    return float(acc)
+    weights = np.exp2(-p.gamma_set.e_counts.astype(np.float64))
+    total = np.dot(p.coeffs * np.conj(q.coeffs), weights)
+    return complex(total) if np.iscomplexobj(total) else float(total)

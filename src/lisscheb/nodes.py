@@ -164,6 +164,7 @@ def int_tuples(rows: np.ndarray) -> Iterator[Tuple[int, ...]]:
 
 def cgl_point(m: int, i: int) -> float:
     """The i-th Chebyshev-Gauss-Lobatto point cos(i*pi/m) on [-1, 1]."""
+    m, i = integer_tuple((m, i), "cgl_point argument")
     if not 0 <= i <= m:
         raise IndexOutOfRange(f"index {i} outside [0, {m}]")
     return cos_pi_ratio(i, m)
@@ -246,6 +247,7 @@ def class_map_standard(n: DimensionVector, l: int) -> MultiIndex:
 
     Component j is the representative of +-l mod 2n_j inside [0, n_j].
     """
+    (l,) = integer_tuple((l,), "parameter index")
     if not 0 <= l < 2 * n.product:
         raise IndexOutOfRange(f"l={l} outside [0, {2 * n.product})")
     out = []
@@ -266,7 +268,9 @@ def class_map_shifted(
     remaining components fold +-(l + 2 rho_i n_i - kappa_i) the same way.
     """
     if not spec.is_shifted:
-        raise ValueError("class_map_shifted needs a shifted spec")
+        raise InvalidParameter("class_map_shifted needs a shifted spec")
+    (l,) = integer_tuple((l,), "parameter index")
+    rho = integer_tuple(rho, "rho")
     n = spec.n
     if not 0 <= l < 4 * n.product:
         raise IndexOutOfRange(f"l={l} outside [0, {4 * n.product})")

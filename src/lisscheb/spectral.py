@@ -12,10 +12,11 @@ blur it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from .congruence import integer_tuple
 from .errors import NotInGammaSet
 from .nodes import NodeSpec, _index_grid, check_box_size, int_tuples
 
@@ -45,7 +46,6 @@ class GammaSet:
         self.norm_sq = norm_sq
         self.e_counts = e_counts
         self.special_pos = special_pos
-        self._lookup: Optional[Dict[SpectralIndex, int]] = None
 
     def __len__(self) -> int:
         return self.elements.shape[0]
@@ -58,11 +58,23 @@ class GammaSet:
         pos = self.special_pos
         return next(int_tuples(self.elements[pos : pos + 1]))
 
-    @property
-    def lookup(self) -> Dict[SpectralIndex, int]:
-        if self._lookup is None:
-            self._lookup = dict(zip(self, range(len(self))))
-        return self._lookup
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """Positions in the set of the rows of an (M, d) integer array.
+
+        A row that is not a member maps to -1.  Entries may be Python ints
+        of any size in an object array: each is clamped to [-1, max(m) + 1]
+        first, which keeps an entry outside the box outside and makes it
+        fit int64.  Members are found in a box grid of positions.
+        """
+        dims = np.array(self.spec.m) + 1
+        rows = np.asarray(rows).clip(-1, dims.max()).astype(np.int64)
+        inside = ((rows >= 0) & (rows < dims)).all(axis=1)
+        grid = np.full(int(np.prod(dims)), -1, dtype=np.intp)
+        flat = np.ravel_multi_index(self.elements.T, dims)
+        grid[flat] = np.arange(len(self))
+        out = np.full(rows.shape[0], -1, dtype=np.intp)
+        out[inside] = grid[np.ravel_multi_index(rows[inside].T, dims)]
+        return out
 
 
 def _graded_lex_order(elements: np.ndarray) -> np.ndarray:
@@ -161,7 +173,11 @@ def involution(m: Tuple[int, ...], gamma: SpectralIndex) -> SpectralIndex:
 
 
 def norm_sq(spec: NodeSpec, gamma: SpectralIndex) -> float:
-    """Squared discrete norm of the basis function indexed by gamma."""
+    """Squared discrete norm of the basis function indexed by gamma.
+
+    Raises InvalidParameter for an entry that is not an integer.
+    """
+    gamma = integer_tuple(gamma, "gamma")
     if not contains(spec, gamma):
         raise NotInGammaSet(f"{gamma} not in the spectral set")
     _, norm = _norm_terms(spec, np.array([gamma], dtype=np.int64))

@@ -13,13 +13,16 @@ FFT of the mirror extension.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from .congruence import integer_tuple
 from .errors import DomainViolation, IndexOutOfRange, InvalidParameter
-from .errors import SpecMismatch
+from .errors import NotInGammaSet, SpecMismatch
 from .nodes import MultiIndex, NodeSet, NodeSpec, build_node_set, chi_tables
 from .spectral import GammaSet, SpectralIndex, build_gamma
 from .trig import cos_pi_ratio
@@ -38,12 +41,86 @@ class SampleVector:
     values: Dict[MultiIndex, Scalar]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebExpansion:
-    """A polynomial written in the spectral basis of a spec."""
+    """A polynomial written in the spectral basis of a spec.
+
+    ``coeffs`` is a float64 or complex128 array of shape (len(gamma_set),)
+    in gamma-set order; an array of that dtype is kept, not copied.  Other
+    numeric arrays are converted.  The constructor also takes a mapping
+    {gamma: value}, where a missing gamma stands for 0.  It raises
+    InvalidParameter for a key that is not a d-tuple of integers, a value
+    that is not a number or an array of another shape, NotInGammaSet for
+    a gamma outside the set and DomainViolation for an int too large for
+    a float.
+    """
 
     gamma_set: GammaSet
-    coeffs: Dict[SpectralIndex, Scalar]
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        coeffs = _coefficient_array(self.gamma_set, self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+
+
+def _coefficient_array(gamma_set: GammaSet, given) -> np.ndarray:
+    """The coefficients in gamma-set order from an array or a mapping."""
+    n = len(gamma_set)
+    if not isinstance(given, Mapping):
+        try:
+            shape = np.shape(given)
+        except ValueError:  # sequences of unequal length
+            shape = None
+        if shape != (n,):
+            raise InvalidParameter(
+                f"coefficient array has shape {shape}, expected ({n},)"
+            )
+        return _number_vector(given, range(n), "coefficient", "position")
+    d = gamma_set.spec.dim
+    for gamma in given:
+        if not isinstance(gamma, tuple) or len(gamma) != d:
+            raise InvalidParameter(
+                f"gamma {gamma!r} is not a tuple of {d} integers"
+            )
+        integer_tuple(gamma, "gamma")
+    rows = np.fromiter(chain.from_iterable(given), object, len(given) * d)
+    pos = gamma_set.positions(rows.reshape(-1, d))
+    if (pos < 0).any():
+        gamma = list(given)[int(np.argmin(pos))]
+        raise NotInGammaSet(f"gamma {gamma} is not in the spectral set")
+    vals = _number_vector(list(given.values()), given, "coefficient", "gamma")
+    out = np.zeros(n, dtype=vals.dtype)
+    out[pos] = vals
+    return out
+
+
+def _number_vector(values, keys, what: str, where: str) -> np.ndarray:
+    """The values as a float64 or complex128 vector, checked one by one.
+
+    Raises InvalidParameter for a value that is not a number and
+    DomainViolation for an int too large for a float, naming its key.
+    """
+    try:
+        vals = np.asarray(values)
+    except ValueError:  # sequences of unequal length among the values
+        vals = np.array(None)
+    kind = vals.dtype.kind
+    if vals.ndim != 1 or kind not in "biufc":
+        for key, val in zip(keys, values):
+            if not isinstance(val, numbers.Number):
+                raise InvalidParameter(
+                    f"{what} {val!r} at {where} {key} is not a number"
+                )
+            try:
+                complex(val)
+            except OverflowError:
+                raise DomainViolation(
+                    f"{what} at {where} {key} is too large for a float"
+                ) from None
+        # Numbers numpy keeps as objects: ints beyond 64 bits, Fraction.
+        kind = "c" if any(isinstance(v, complex) for v in values) else "f"
+    dtype = np.complex128 if kind == "c" else np.float64
+    return vals.astype(dtype, copy=False)
 
 
 def chi_eval(spec: NodeSpec, gamma: SpectralIndex, i: MultiIndex) -> float:
@@ -80,7 +157,8 @@ def aligned_values(
     """Order the sample dict along the node set, validating its domain.
 
     Raises IndexOutOfRange for a wrong sample count or index,
-    InvalidParameter for a non-number and DomainViolation for NaN or inf.
+    InvalidParameter for a non-number and DomainViolation for NaN, inf or
+    an int too large for a float.
     """
     if h.spec != node_set.spec:
         raise SpecMismatch("sample vector and node set use different specs")
@@ -96,20 +174,8 @@ def aligned_values(
         raise IndexOutOfRange(
             f"sample index {exc.args[0]} is not in the index set"
         ) from None
-    try:
-        vals = np.array(list(h.values.values()))
-    except ValueError:  # sequences of unequal length among the values
-        vals = np.array(None)
-    kind = vals.dtype.kind
-    if vals.ndim != 1 or kind not in "biufc":
-        for key, val in h.values.items():
-            if not isinstance(val, numbers.Number):
-                raise InvalidParameter(
-                    f"sample {val!r} at node {key} is not a number"
-                )
-        # Numbers numpy keeps as objects: ints beyond 64 bits, Fraction.
-        kind = "c" if any(isinstance(v, complex) for v in vals) else "f"
-    out = np.empty(n, dtype=np.complex128 if kind == "c" else np.float64)
+    vals = _number_vector(list(h.values.values()), h.values, "sample", "node")
+    out = np.empty(n, dtype=vals.dtype)
     out[pos] = vals
     finite = np.isfinite(out)
     if not finite.all():
@@ -176,10 +242,7 @@ def coefficients_naive(
                 h.spec, gammas, node_set.indices[k : k + cols], tables
             )
             acc[r : r + rows] += x @ wv[k : k + cols]
-    cvec = acc / gamma_set.norm_sq
-    return ChebExpansion(
-        gamma_set=gamma_set, coeffs=dict(zip(gamma_set, cvec.tolist()))
-    )
+    return ChebExpansion(gamma_set=gamma_set, coeffs=acc / gamma_set.norm_sq)
 
 
 def _scatter_grid(node_set: NodeSet, values: np.ndarray) -> np.ndarray:
@@ -250,9 +313,7 @@ def coefficients_fast(
             f"{tuple(gamma_set.elements[pos].tolist())} is not finite: "
             "the samples overflow the transform"
         )
-    return ChebExpansion(
-        gamma_set=gamma_set, coeffs=dict(zip(gamma_set, cvec.tolist()))
-    )
+    return ChebExpansion(gamma_set=gamma_set, coeffs=cvec)
 
 
 def _transform_all_axes(array: np.ndarray) -> np.ndarray:

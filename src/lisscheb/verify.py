@@ -136,10 +136,8 @@ def suite_transform(node_set: NodeSet) -> List[CheckResult]:
         h = transform.SampleVector(spec=node_set.spec, values=values)
         fast = transform.coefficients_fast(h, node_set=node_set).coeffs
         naive = transform.coefficients_naive(h, node_set=node_set).coeffs
-        # Both coefficient dicts are in gamma-set order.
-        diff = np.subtract(list(naive.values()), list(fast.values()))
-        scale = max(map(abs, naive.values())) or 1.0
-        worst = max(worst, float(np.abs(diff).max()) / scale)
+        scale = float(np.abs(naive).max()) or 1.0
+        worst = max(worst, float(np.abs(naive - fast).max()) / scale)
     return [
         CheckResult(
             "transform",

@@ -150,9 +150,8 @@ def _reference_payload(spec, fn):
         "n": list(spec.n.entries),
         "kappa": list(spec.kappa) if spec.is_shifted else None,
         "coefficients": [
-            {"gamma": list(gamma),
-             "value": float("%.17g" % expansion.coeffs[gamma])}
-            for gamma in expansion.gamma_set
+            {"gamma": list(gamma), "value": float("%.17g" % value)}
+            for gamma, value in zip(expansion.gamma_set, expansion.coeffs)
         ],
     }
 

@@ -124,6 +124,25 @@ def _shift_identity_error(curve, form, samples=1000):
     return worst
 
 
+def test_index_arguments_must_be_integers():
+    curve = LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 1))
+    for call in (
+        lambda: multiplicity_profile(N53, 1.5),
+        lambda: lc_eval_at_index(curve, 1.5),
+        lambda: lc_eval_at_index(curve, "1"),
+        lambda: sample_curve(curve, 2.5),
+    ):
+        with pytest.raises(InvalidParameter, match="must be integers"):
+            call()
+    assert multiplicity_profile(N53, 6) == (frozenset({0}), 2)
+
+
+def test_normalize_rejects_epsilon_1():
+    curve = LCCurve(n=N53, epsilon=1, kappa=(0, 1), u=(1, 1))
+    with pytest.raises(InvalidParameter, match="epsilon=2"):
+        normalize(curve)
+
+
 def test_normalize_trivial():
     c = LCCurve(n=N53, epsilon=2, kappa=(0, 0), u=(1, -1))
     form = normalize(c)

@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from strategies import small_specs
 
 from lisscheb import interp
 from lisscheb.congruence import validate_pairwise_coprime
-from lisscheb.errors import DomainViolation, IndexOutOfRange, SpecMismatch
+from lisscheb.errors import (
+    DomainViolation,
+    IndexOutOfRange,
+    InvalidParameter,
+    NotInGammaSet,
+    SpecMismatch,
+)
 from lisscheb.interp import (
     ChebExpansion,
     cheb_T_eval,
@@ -72,6 +80,50 @@ def test_non_finite_coordinates_rejected():
             kernel_eval(spec, (0.1, 0.2), (0.5, bad))
 
 
+def test_mapping_fills_missing_gammas_with_zero():
+    gs = build_gamma(NodeSpec(n=N53))
+    p = ChebExpansion(gamma_set=gs, coeffs={(2, 1): 3.0, (0, 0): -1.0})
+    want = np.zeros(len(gs))
+    want[list(gs).index((2, 1))] = 3.0
+    want[list(gs).index((0, 0))] = -1.0
+    assert p.coeffs.dtype == np.float64 and np.array_equal(p.coeffs, want)
+    complex_p = ChebExpansion(gamma_set=gs, coeffs={(1, 0): 1j})
+    assert complex_p.coeffs.dtype == np.complex128
+    ints = ChebExpansion(gamma_set=gs, coeffs=np.arange(len(gs)))
+    assert ints.coeffs.dtype == np.float64
+    assert np.array_equal(ints.coeffs, np.arange(len(gs)))
+
+
+@pytest.mark.parametrize("coeffs, error, match", [
+    # (4, 2) lies in the box of (5, 3) but not in its spectral set.
+    ({(4, 2): 1.0}, NotInGammaSet, r"\(4, 2\) is not in the spectral set"),
+    ({(0, 0): 1.0, (0, 3): 1.0, (5, 0): 1.0}, NotInGammaSet, r"\(5, 0\)"),
+    ({(10**30, 0): 1.0}, NotInGammaSet, "not in the spectral set"),
+    ({(-1, 0): 1.0}, NotInGammaSet, "not in the spectral set"),
+    ({(0.5, 0): 1.0}, InvalidParameter, "must be integers, got 0.5"),
+    ({(True, 0): 1.0}, InvalidParameter, "must be integers, got True"),
+    ({(0, 0, 0): 1.0}, InvalidParameter, "not a tuple of 2 integers"),
+    ({0: 1.0}, InvalidParameter, "not a tuple of 2 integers"),
+    ({(0, 0): "1.5"}, InvalidParameter, r"'1.5' at gamma \(0, 0\)"),
+    ({(0, 0): None}, InvalidParameter, "is not a number"),
+    ({(0, 0): 2**2000}, DomainViolation, "too large for a float"),
+    (np.ones(11), InvalidParameter, r"shape \(11,\), expected \(12,\)"),
+    (np.ones((12, 1)), InvalidParameter, r"expected \(12,\)"),
+    ([1.0] * 11 + [[1.0]], InvalidParameter, r"expected \(12,\)"),
+    (3.0, InvalidParameter, r"expected \(12,\)"),
+    (["1.5"] * 12, InvalidParameter, "'1.5' at position 0"),
+], ids=[
+    "gamma_4_2", "outside_among_members", "huge_entry", "negative_entry",
+    "float_entry", "bool_entry", "long_key", "int_key", "string_value",
+    "none_value", "int_beyond_float", "short_array", "column_array",
+    "ragged_list", "scalar", "string_array",
+])
+def test_constructor_rejects_bad_coefficients(coeffs, error, match):
+    gs = build_gamma(NodeSpec(n=N53))
+    with pytest.raises(error, match=match):
+        ChebExpansion(gamma_set=gs, coeffs=coeffs)
+
+
 def test_expansion_eval_simple():
     gs = build_gamma(NodeSpec(n=N53))
     zero = ChebExpansion(gamma_set=gs, coeffs={})
@@ -124,7 +176,7 @@ def test_batched_eval_is_bit_identical(spec, kind, monkeypatch):
     if kind == "complex":
         values = values + 1j * rng.uniform(-1.0, 1.0, size=len(gs))
     if kind == "sparse":
-        # A third of the set, in shuffled order: the sum follows the dict.
+        # A third of the set, in shuffled order; the rest is zero.
         keep = rng.permutation(len(gs))[: max(1, len(gs) // 3)]
         gammas = [gammas[k] for k in keep]
         values = values[keep]
@@ -222,8 +274,8 @@ def test_interpolation_recovers_space_member():
         },
     )
     p = interpolate(h)
-    for gamma, c in coeffs.items():
-        assert p.coeffs[gamma] == pytest.approx(c, abs=1e-12)
+    want = np.array([coeffs[gamma] for gamma in gs])
+    assert p.coeffs == pytest.approx(want, abs=1e-12)
 
 
 def test_kernel_symmetry_and_corner_value():
@@ -326,9 +378,8 @@ def test_fundamental_matches_delta_interpolant(spec):
         values[i] = 1.0
         oracle = coefficients_naive(SampleVector(spec=spec, values=values))
         L = fundamental(spec, i)
-        assert L.coeffs.keys() == oracle.coeffs.keys()
-        for gamma, c in oracle.coeffs.items():
-            assert abs(L.coeffs[gamma] - c) <= 1e-14
+        assert L.coeffs.shape == oracle.coeffs.shape == (len(ns),)
+        assert np.abs(L.coeffs - oracle.coeffs).max() <= 1e-14
 
 
 def test_fundamental_partition_of_unity():
@@ -378,6 +429,55 @@ def test_inner_product_matches_quadrature():
             total += v * v
     total /= K * K
     assert expansion_inner_product(p, p) == pytest.approx(total, abs=1e-11)
+
+
+def _gauss_chebyshev_inner_product(p, q):
+    """Tensor Gauss-Chebyshev quadrature of p conj(q), exact for the space.
+
+    m_j + 1 nodes per axis integrate degree 2 m_j + 1 exactly, above the
+    per-axis degree 2 m_j of the product.
+    """
+    axes = [
+        np.cos((2 * np.arange(mj + 1) + 1) * math.pi / (2 * (mj + 1)))
+        for mj in p.gamma_set.spec.m
+    ]
+    x = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
+    return np.mean(expansion_eval(p, x) * np.conj(expansion_eval(q, x)))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(spec=small_specs(), seed=st.integers(0, 2**32 - 1))
+def test_expansion_array_properties(spec, seed):
+    rng = np.random.default_rng(seed)
+    gs = build_gamma(spec)
+    n = len(gs)
+    # Coefficients of unit size on average, so p and q have norms near 1.
+    p_vals, q_vals = (
+        (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / math.sqrt(n)
+        for _ in range(2)
+    )
+    p = ChebExpansion(gamma_set=gs, coeffs=p_vals)
+    q = ChebExpansion(gamma_set=gs, coeffs=q_vals)
+
+    # A {gamma: value} mapping in any order gives the same array.
+    order = rng.permutation(n)
+    gammas = list(gs)
+    shuffled = {gammas[k]: complex(p_vals[k]) for k in order}
+    from_map = ChebExpansion(gamma_set=gs, coeffs=shuffled)
+    assert from_map.coeffs.dtype == p.coeffs.dtype == np.complex128
+    assert np.array_equal(from_map.coeffs, p.coeffs)
+
+    # One-point evaluation equals the batched call bit for bit, at random
+    # points and at the corners of the cube.
+    corners = rng.choice([-1.0, 1.0], size=(4, spec.dim))
+    corners[0], corners[1] = 1.0, -1.0
+    x = np.concatenate([rng.uniform(-1, 1, size=(8, spec.dim)), corners])
+    batched = expansion_eval(p, x)
+    single = np.array([expansion_eval(p, pt) for pt in x.tolist()])
+    assert np.array_equal(batched, single)
+
+    want = _gauss_chebyshev_inner_product(p, q)
+    assert abs(expansion_inner_product(p, q) - want) <= 1e-11
 
 
 def test_inner_product_spec_mismatch():

@@ -257,6 +257,27 @@ def test_reflection_symmetry(spec):
         assert reflected == points
 
 
+def test_index_arguments_must_be_integers():
+    shifted = NodeSpec(n=N53, kappa=(0, 1))
+    for call in (
+        lambda: class_map_standard(N53, 1.5),
+        lambda: class_map_standard(N53, True),
+        lambda: class_map_shifted(shifted, 1.5, (0,)),
+        lambda: class_map_shifted(shifted, 3, (1.0,)),
+        lambda: cgl_point(4, 1.5),
+        lambda: cgl_point(4.0, 1),
+    ):
+        with pytest.raises(InvalidParameter, match="must be integers"):
+            call()
+    assert class_map_standard(N53, np.int64(7)) == (3, 1)
+    assert cgl_point(np.int64(4), 2) == cgl_point(4, 2)
+
+
+def test_class_map_shifted_rejects_standard_spec():
+    with pytest.raises(InvalidParameter, match="needs a shifted spec"):
+        class_map_shifted(NodeSpec(n=N53), 0, (0,))
+
+
 def test_g_index_forced_by_even_entry():
     assert NodeSpec(n=N532, kappa=(0, 0, 0)).g_index == 2
     assert NodeSpec(n=N53, kappa=(0, 0)).g_index == 0

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from strategies import small_specs
 
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import InvalidParameter, OverflowDimension
@@ -212,29 +212,6 @@ def test_quadrature_suite_scales():
     elapsed = time.perf_counter() - start
     assert all(r.passed for r in results)
     assert elapsed < 0.5, f"quadrature suite took {elapsed:.3f} s"
-
-
-def _coprime_vectors(limit, max_dim):
-    """Every pairwise-coprime n of at most max_dim entries, prod(n) <= limit."""
-    out = []
-
-    def grow(prefix, product):
-        if prefix:
-            out.append(tuple(prefix))
-        if len(prefix) < max_dim:
-            for e in range(1, limit // product + 1):
-                if all(math.gcd(e, p) == 1 for p in prefix):
-                    grow(prefix + [e], product * e)
-
-    grow([], 1)
-    return out
-
-
-@st.composite
-def small_specs(draw):
-    n = draw(st.sampled_from(_coprime_vectors(200, 3)))
-    kappa = draw(st.none() | st.tuples(*[st.integers(0, 1) for _ in n]))
-    return NodeSpec(n=validate_pairwise_coprime(n), kappa=kappa)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lisscheb.congruence import validate_pairwise_coprime
-from lisscheb.errors import NotInGammaSet
+from lisscheb.errors import InvalidParameter, NotInGammaSet
 from lisscheb.nodes import NodeSpec, build_node_set
 from lisscheb.spectral import (
     build_gamma,
@@ -179,6 +179,32 @@ def test_norm_sq_positive_and_consistent(spec):
         assert norm_sq(spec, g) == gs.norm_sq[pos]
 
 
+def test_norm_sq_rejects_non_integer_gamma():
+    spec = NodeSpec(n=N53)
+    for bad in [(0.5, 0), (0, 1.0), (True, 0), ("0", 0)]:
+        with pytest.raises(InvalidParameter, match="must be integers"):
+            norm_sq(spec, bad)
+    assert norm_sq(spec, (np.int64(1), 0)) == 0.5
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_positions_maps_rows_to_the_set(spec):
+    gs = build_gamma(spec)
+    assert np.array_equal(gs.positions(gs.elements), np.arange(len(gs)))
+    # Every row of the box one wider than the grid, members or not.
+    axes = (range(-1, mj + 2) for mj in spec.m)
+    box = np.array(list(itertools.product(*axes)))
+    member = contains_rows(spec, box)
+    pos = gs.positions(box)
+    assert np.array_equal(pos >= 0, member)
+    assert np.array_equal(gs.elements[pos[member]], box[member])
+    # Python ints beyond int64 in an object array are outside.
+    huge = np.array([[10**30] + [0] * (spec.dim - 1),
+                     [-(10**30)] * spec.dim], dtype=object)
+    assert gs.positions(huge).tolist() == [-1, -1]
+    assert gs.positions(np.empty((0, spec.dim), np.int64)).shape == (0,)
+
+
 @pytest.mark.parametrize(
     "spec", ALL_SPECS + [NodeSpec(n=validate_pairwise_coprime((4,)))]
 )
@@ -186,9 +212,7 @@ def test_gamma_tuples_are_python_ints(spec):
     gs = build_gamma(spec)
     rows = [tuple(int(v) for v in row) for row in gs.elements]
     assert list(gs) == rows
-    assert gs.lookup == {row: pos for pos, row in enumerate(rows)}
-    assert list(gs.lookup) == rows
     assert gs.special == rows[gs.special_pos]
-    for key in list(gs) + list(gs.lookup) + [gs.special]:
+    for key in list(gs) + [gs.special]:
         assert type(key) is tuple and len(key) == spec.dim
         assert all(type(v) is int for v in key)

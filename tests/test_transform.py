@@ -60,12 +60,12 @@ def loop_naive(h, node_set, gamma_set):
     vals = aligned_values(h, node_set)
     weights = node_set.weights
     index_rows = [tuple(int(v) for v in row) for row in node_set.indices]
-    coeffs = {}
+    coeffs = []
     for pos, gamma in enumerate(gamma_set):
         acc = 0.0
         for k, idx in enumerate(index_rows):
             acc = acc + weights[k] * vals[k] * chi_eval(h.spec, gamma, idx)
-        coeffs[gamma] = acc / gamma_set.norm_sq[pos]
+        coeffs.append(acc / gamma_set.norm_sq[pos])
     return coeffs
 
 
@@ -164,7 +164,7 @@ def test_alias_matches_brute_force_rule(spec):
 def test_naive_constant_gives_unit_dc_coefficient():
     spec = NodeSpec(n=N53)
     p = coefficients_naive(constant_samples(spec))
-    for gamma, c in p.coeffs.items():
+    for gamma, c in zip(p.gamma_set, p.coeffs):
         want = 1.0 if gamma == (0, 0) else 0.0
         assert c == pytest.approx(want, abs=1e-14)
 
@@ -179,7 +179,7 @@ def test_naive_recovers_single_basis_function(spec):
         values={n.index: chi_eval(spec, target, n.index) for n in ns.nodes},
     )
     p = coefficients_naive(h, node_set=ns)
-    for gamma, c in p.coeffs.items():
+    for gamma, c in zip(p.gamma_set, p.coeffs):
         want = 1.0 if gamma == target else 0.0
         assert c == pytest.approx(want, abs=1e-13)
 
@@ -196,7 +196,7 @@ def test_d1_recovers_chebyshev_degree():
         },
     )
     p = coefficients_fast(h)
-    for gamma, c in p.coeffs.items():
+    for gamma, c in zip(p.gamma_set, p.coeffs):
         want = 1.0 if gamma == (7,) else 0.0
         assert c == pytest.approx(want, abs=1e-13)
 
@@ -209,9 +209,9 @@ def test_fast_matches_naive(spec):
         h = random_samples(spec, rng)
         fast = coefficients_fast(h, node_set=ns)
         naive = coefficients_naive(h, node_set=ns)
-        scale = max(abs(v) for v in naive.coeffs.values())
-        for gamma, c in naive.coeffs.items():
-            assert abs(fast.coeffs[gamma] - c) / scale < 1e-12
+        scale = max(abs(v) for v in naive.coeffs)
+        for f, c in zip(fast.coeffs, naive.coeffs):
+            assert abs(f - c) / scale < 1e-12
 
 
 def test_fast_handles_complex_samples():
@@ -220,9 +220,10 @@ def test_fast_handles_complex_samples():
     h = random_samples(spec, rng, complex_valued=True)
     fast = coefficients_fast(h)
     naive = coefficients_naive(h)
-    for gamma, c in naive.coeffs.items():
-        assert isinstance(fast.coeffs[gamma], complex)
-        assert abs(fast.coeffs[gamma] - c) < 1e-12
+    assert fast.coeffs.dtype == np.complex128
+    for f, c in zip(fast.coeffs, naive.coeffs):
+        assert isinstance(f, complex)
+        assert abs(f - c) < 1e-12
 
 
 def test_transform_is_linear():
@@ -240,10 +241,8 @@ def test_transform_is_linear():
     p1 = coefficients_fast(h1)
     p2 = coefficients_fast(h2)
     pc = coefficients_fast(combo)
-    for gamma in p1.coeffs:
-        assert pc.coeffs[gamma] == pytest.approx(
-            2.5 * p1.coeffs[gamma] - 0.75 * p2.coeffs[gamma], abs=1e-13
-        )
+    for c, c1, c2 in zip(pc.coeffs, p1.coeffs, p2.coeffs):
+        assert c == pytest.approx(2.5 * c1 - 0.75 * c2, abs=1e-13)
 
 
 def test_embed_grid_shape_and_mass():
@@ -259,8 +258,8 @@ def test_embed_grid_shape_and_mass():
 
 
 def _max_relative_deviation(got, want):
-    scale = max(abs(v) for v in want.values())
-    return max(abs(got[gamma] - c) for gamma, c in want.items()) / scale
+    scale = max(abs(v) for v in want)
+    return max(abs(g - c) for g, c in zip(got, want, strict=True)) / scale
 
 
 @pytest.mark.parametrize(
@@ -272,9 +271,9 @@ def test_naive_matches_loop_oracle(spec, complex_valued):
     gs = build_gamma(spec)
     h = random_samples(spec, np.random.default_rng(31), complex_valued)
     naive = coefficients_naive(h, node_set=ns)
-    assert list(naive.coeffs) == list(gs)
-    kind = complex if complex_valued else float
-    assert all(type(c) is kind for c in naive.coeffs.values())
+    assert list(naive.gamma_set) == list(gs)
+    kind = np.complex128 if complex_valued else np.float64
+    assert naive.coeffs.dtype == kind and naive.coeffs.shape == (len(gs),)
     assert _max_relative_deviation(naive.coeffs, loop_naive(h, ns, gs)) < 1e-14
 
 
@@ -285,7 +284,7 @@ def test_suite_transform_catches_scaled_coefficient(monkeypatch):
 
     def scaled(*args, **kwargs):
         p = original(*args, **kwargs)
-        top = max(p.coeffs, key=lambda gamma: abs(p.coeffs[gamma]))
+        top = int(np.argmax(np.abs(p.coeffs)))
         p.coeffs[top] *= 1.0 + 1e-9
         return p
 
@@ -353,6 +352,23 @@ def test_non_numeric_samples_rejected(bad):
     for op in (integrate, interpolate, coefficients_naive):
         with pytest.raises(
             InvalidParameter, match=r"at node \(1, 3\) is not a number"
+        ):
+            op(h)
+
+
+@pytest.mark.parametrize(
+    "big",
+    [2**2000, -(2**2000), Fraction(10**400)],
+    ids=["2**2000", "-2**2000", "Fraction(10**400)"],
+)
+def test_samples_beyond_float_range_rejected(big):
+    spec = NodeSpec(n=N53)
+    values = dict(constant_samples(spec).values)
+    values[(1, 3)] = big
+    h = SampleVector(spec=spec, values=values)
+    for op in (integrate, interpolate, coefficients_naive):
+        with pytest.raises(
+            DomainViolation, match=r"at node \(1, 3\) is too large for a float"
         ):
             op(h)
 
