@@ -14,17 +14,16 @@ import csv
 import json
 import math
 import sys
-from itertools import chain, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import interp, quad, transform, verify
-from .congruence import integer_tuple, validate_pairwise_coprime
+from .congruence import validate_pairwise_coprime
 from .curves import LCCurve, sample_curve
-from .errors import DomainViolation, InvalidParameter, LisschebError
+from .errors import DomainViolation, LisschebError
 from .nodes import NodeSet, NodeSpec, build_node_set
-from .spectral import GammaSet, build_gamma
+from .spectral import build_gamma
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -240,21 +239,12 @@ def cmd_interp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_gamma_entries(path: str, gammas: List[tuple]) -> None:
-    """Raise for the first gamma entry that is not integer or repeats."""
-    seen = set()
-    for pos, gamma in enumerate(gammas, 1):
-        where = f"{path}, coefficient entry {pos}"
-        try:
-            integer_tuple(gamma, "gamma")
-        except InvalidParameter as exc:
-            raise LisschebError(f"{where}: {exc}") from None
-        if gamma in seen:
-            raise LisschebError(f"{where}: repeated gamma {gamma}")
-        seen.add(gamma)
-
-
 def _load_expansion(path: str):
+    """The spec and expansion of an expansion file.
+
+    The ChebExpansion constructor checks the entries; its errors come back
+    naming the file and the entry.
+    """
     with open(path) as handle:
         try:
             payload = json.load(handle)
@@ -266,47 +256,26 @@ def _load_expansion(path: str):
         spec = NodeSpec(n=n, kappa=tuple(kappa) if kappa is not None else None)
         entries = payload["coefficients"]
         gammas = [tuple(entry["gamma"]) for entry in entries]
-        values = [float(entry["value"]) for entry in entries]
-        distinct = len(set(gammas))
+        coeffs = dict(zip(gammas, [entry["value"] for entry in entries]))
     except KeyError as exc:
         raise LisschebError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise LisschebError(f"{path}: malformed expansion: {exc}") from None
-    # Plain JSON ints pass in bulk; anything else is checked entry by entry.
-    if distinct < len(gammas) or set(map(type, chain(*gammas))) - {int}:
-        _check_gamma_entries(path, gammas)
-    finite = np.isfinite(values)
-    if not finite.all():
-        pos = int(np.argmin(finite))
-        raise LisschebError(
-            f"{path}, coefficient entry {pos + 1}: "
-            f"value {values[pos]} is not finite"
-        )
+    if len(coeffs) < len(gammas):
+        seen = set()
+        for row, gamma in enumerate(gammas, 1):
+            if gamma in seen:
+                raise LisschebError(
+                    f"{path}, coefficient entry {row}: repeated gamma {gamma}"
+                )
+            seen.add(gamma)
     gs = build_gamma(spec)
-    positions = _gamma_positions(gs, gammas)
-    if (positions < 0).any():
-        pos = int(np.argmin(positions))
+    try:
+        return spec, transform.ChebExpansion(gamma_set=gs, coeffs=coeffs)
+    except LisschebError as exc:
         raise LisschebError(
-            f"{path}, coefficient entry {pos + 1}: "
-            f"gamma {gammas[pos]} outside the spectral set"
-        )
-    coeffs = np.zeros(len(gs))
-    coeffs[positions] = values
-    return spec, transform.ChebExpansion(gamma_set=gs, coeffs=coeffs)
-
-
-def _gamma_positions(gs: GammaSet, gammas: List[tuple]) -> np.ndarray:
-    """Positions in gs of gamma entries, tuples of ints; -1 when outside.
-
-    An entry of another length is outside; GammaSet.positions maps the
-    rest at once.
-    """
-    d = gs.spec.dim
-    right = np.fromiter(map(len, gammas), np.int64, len(gammas)) == d
-    flat = np.fromiter(chain.from_iterable(compress(gammas, right)), object)
-    out = np.full(len(gammas), -1, dtype=np.intp)
-    out[right] = gs.positions(flat.reshape(-1, d))
-    return out
+            f"{path}, coefficient entry {exc.row + 1}: {exc}"
+        ) from None
 
 
 def _read_points(path: str) -> Tuple[List[List[float]], List[int]]:

@@ -4,7 +4,16 @@ from typing import Optional
 
 
 class LisschebError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``row`` is the position of the offending item in a batch (a point of
+    a point array, an entry of a coefficient or sample mapping) when the
+    check covered one.
+    """
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        self.row = row
+        super().__init__(message)
 
 
 class EmptyDimension(LisschebError):
@@ -59,16 +68,8 @@ class NotInGammaSet(LisschebError):
 
 
 class DomainViolation(LisschebError):
-    """An evaluation point lies outside the closed unit cube, or a point or
-    sample value is not finite.
-
-    ``row`` is the position of the offending point in a batch of points,
-    when the check covered one.
-    """
-
-    def __init__(self, message: str, row: Optional[int] = None):
-        self.row = row
-        super().__init__(message)
+    """An evaluation point lies outside the closed unit cube, or a point,
+    sample or coefficient value is not finite."""
 
 
 class SpecMismatch(LisschebError):

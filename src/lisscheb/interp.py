@@ -14,6 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .congruence import integer_tuple
 from .errors import IndexOutOfRange, SpecMismatch
 from .nodes import (
     MultiIndex,
@@ -33,7 +34,11 @@ _EVAL_BLOCK = 1 << 18
 
 
 def cheb_T_eval(gamma: SpectralIndex, x: Sequence[float]) -> float:
-    """Evaluate the tensor Chebyshev polynomial T_gamma at a point."""
+    """Evaluate the tensor Chebyshev polynomial T_gamma at a point.
+
+    Raises InvalidParameter for a degree that is not an integer.
+    """
+    gamma = integer_tuple(gamma, "gamma")
     x = check_point(x, len(gamma))
     out = 1.0
     for gj, xj in zip(gamma, x):
@@ -157,10 +162,12 @@ def fundamental(spec: NodeSpec, i: MultiIndex) -> ChebExpansion:
 
     Its coefficients have the closed form w_i chi_gamma(i) / ||chi_gamma||^2,
     with the column chi_gamma(i) over the whole spectral set taken from the
-    per-axis tables of nodes.chi_tables.
+    per-axis tables of nodes.chi_tables.  Raises InvalidParameter for an
+    index entry that is not an integer.
     """
+    i = integer_tuple(i, "node index")
     node_set = build_node_set(spec)
-    pos = node_set.lookup.get(tuple(i))
+    pos = node_set.lookup.get(i)
     if pos is None:
         raise IndexOutOfRange(f"{i} is not in the index set")
     gs = build_gamma(spec)

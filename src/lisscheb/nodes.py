@@ -165,6 +165,8 @@ def int_tuples(rows: np.ndarray) -> Iterator[Tuple[int, ...]]:
 def cgl_point(m: int, i: int) -> float:
     """The i-th Chebyshev-Gauss-Lobatto point cos(i*pi/m) on [-1, 1]."""
     m, i = integer_tuple((m, i), "cgl_point argument")
+    if m < 1:
+        raise InvalidParameter(f"cgl_point order m must be positive, got {m}")
     if not 0 <= i <= m:
         raise IndexOutOfRange(f"index {i} outside [0, {m}]")
     return cos_pi_ratio(i, m)

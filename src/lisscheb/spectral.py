@@ -143,17 +143,6 @@ def contains_rows(spec: NodeSpec, gammas: np.ndarray) -> np.ndarray:
     return keep | (gammas == _special(spec)).all(axis=1)
 
 
-def contains(spec: NodeSpec, gamma: SpectralIndex) -> bool:
-    """Membership test for one tuple: the one-row case of contains_rows."""
-    if len(gamma) != spec.dim:
-        return False
-    # An entry outside [0, m_j] is outside the set, and ints beyond int64
-    # would not fit the row.
-    if not all(0 <= g <= mj for g, mj in zip(gamma, spec.m)):
-        return False
-    return bool(contains_rows(spec, np.array([gamma], dtype=np.int64))[0])
-
-
 def involution(m: Tuple[int, ...], gamma: SpectralIndex) -> SpectralIndex:
     """Reflect gamma at the boundary in its dominant dimension.
 
@@ -178,7 +167,13 @@ def norm_sq(spec: NodeSpec, gamma: SpectralIndex) -> float:
     Raises InvalidParameter for an entry that is not an integer.
     """
     gamma = integer_tuple(gamma, "gamma")
-    if not contains(spec, gamma):
+    # An entry outside [0, m_j] is outside the set, and ints beyond int64
+    # would not fit the row.
+    if (
+        len(gamma) != spec.dim
+        or not all(0 <= g <= mj for g, mj in zip(gamma, spec.m))
+        or not contains_rows(spec, np.array([gamma], dtype=np.int64))[0]
+    ):
         raise NotInGammaSet(f"{gamma} not in the spectral set")
     _, norm = _norm_terms(spec, np.array([gamma], dtype=np.int64))
     return float(norm[0])

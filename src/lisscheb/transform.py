@@ -15,7 +15,7 @@ from __future__ import annotations
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -51,8 +51,9 @@ class ChebExpansion:
     {gamma: value}, where a missing gamma stands for 0.  It raises
     InvalidParameter for a key that is not a d-tuple of integers, a value
     that is not a number or an array of another shape, NotInGammaSet for
-    a gamma outside the set and DomainViolation for an int too large for
-    a float.
+    a gamma outside the set and DomainViolation for a NaN or infinite
+    value or an int too large for a float.  An error about a mapping
+    entry carries the entry's position in the mapping as ``row``.
     """
 
     gamma_set: GammaSet
@@ -75,19 +76,30 @@ def _coefficient_array(gamma_set: GammaSet, given) -> np.ndarray:
             raise InvalidParameter(
                 f"coefficient array has shape {shape}, expected ({n},)"
             )
-        return _number_vector(given, range(n), "coefficient", "position")
+        return _number_vector(given, gamma_set, "coefficient", "gamma")
     d = gamma_set.spec.dim
-    for gamma in given:
-        if not isinstance(gamma, tuple) or len(gamma) != d:
-            raise InvalidParameter(
-                f"gamma {gamma!r} is not a tuple of {d} integers"
-            )
-        integer_tuple(gamma, "gamma")
+    # Tuples of d plain ints pass in bulk; the loop only names the culprit.
+    if (
+        set(map(type, given)) - {tuple}
+        or set(map(len, given)) - {d}
+        or set(map(type, chain.from_iterable(given))) - {int}
+    ):
+        for row, gamma in enumerate(given):
+            try:
+                if not isinstance(gamma, tuple) or len(gamma) != d:
+                    raise InvalidParameter(
+                        f"gamma {gamma!r} is not a tuple of {d} integers"
+                    )
+                integer_tuple(gamma, "gamma")
+            except InvalidParameter as exc:
+                exc.row = row
+                raise
     rows = np.fromiter(chain.from_iterable(given), object, len(given) * d)
     pos = gamma_set.positions(rows.reshape(-1, d))
     if (pos < 0).any():
-        gamma = list(given)[int(np.argmin(pos))]
-        raise NotInGammaSet(f"gamma {gamma} is not in the spectral set")
+        row = int(np.argmin(pos))
+        gamma = next(islice(given, row, None))
+        raise NotInGammaSet(f"gamma {gamma} is not in the spectral set", row)
     vals = _number_vector(list(given.values()), given, "coefficient", "gamma")
     out = np.zeros(n, dtype=vals.dtype)
     out[pos] = vals
@@ -95,10 +107,11 @@ def _coefficient_array(gamma_set: GammaSet, given) -> np.ndarray:
 
 
 def _number_vector(values, keys, what: str, where: str) -> np.ndarray:
-    """The values as a float64 or complex128 vector, checked one by one.
+    """The values as a finite float64 or complex128 vector.
 
     Raises InvalidParameter for a value that is not a number and
-    DomainViolation for an int too large for a float, naming its key.
+    DomainViolation for an int too large for a float or a NaN or infinite
+    value, naming its key; ``row`` is the value's position.
     """
     try:
         vals = np.asarray(values)
@@ -106,21 +119,29 @@ def _number_vector(values, keys, what: str, where: str) -> np.ndarray:
         vals = np.array(None)
     kind = vals.dtype.kind
     if vals.ndim != 1 or kind not in "biufc":
-        for key, val in zip(keys, values):
+        for row, (key, val) in enumerate(zip(keys, values)):
             if not isinstance(val, numbers.Number):
                 raise InvalidParameter(
-                    f"{what} {val!r} at {where} {key} is not a number"
+                    f"{what} {val!r} at {where} {key} is not a number", row
                 )
             try:
                 complex(val)
             except OverflowError:
                 raise DomainViolation(
-                    f"{what} at {where} {key} is too large for a float"
+                    f"{what} at {where} {key} is too large for a float", row
                 ) from None
         # Numbers numpy keeps as objects: ints beyond 64 bits, Fraction.
         kind = "c" if any(isinstance(v, complex) for v in values) else "f"
     dtype = np.complex128 if kind == "c" else np.float64
-    return vals.astype(dtype, copy=False)
+    vals = vals.astype(dtype, copy=False)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        key = next(islice(keys, row, None))
+        raise DomainViolation(
+            f"{what} {vals[row]} at {where} {key} is not finite", row
+        )
+    return vals
 
 
 def chi_eval(spec: NodeSpec, gamma: SpectralIndex, i: MultiIndex) -> float:
@@ -177,11 +198,6 @@ def aligned_values(
     vals = _number_vector(list(h.values.values()), h.values, "sample", "node")
     out = np.empty(n, dtype=vals.dtype)
     out[pos] = vals
-    finite = np.isfinite(out)
-    if not finite.all():
-        pos = int(np.argmin(finite))
-        bad = tuple(int(v) for v in node_set.indices[pos])
-        raise DomainViolation(f"sample {out[pos]} at node {bad} is not finite")
     return out
 
 
@@ -295,7 +311,8 @@ def coefficients_fast(
     gamma_set = build_gamma(h.spec)
 
     array = embed_grid(h, node_set)
-    # Overflow is reported below as DomainViolation, not as a warning.
+    # The ChebExpansion constructor reports overflow as DomainViolation,
+    # not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if np.iscomplexobj(array):
             real = _transform_all_axes(array.real)
@@ -304,15 +321,6 @@ def coefficients_fast(
         else:
             g = _transform_all_axes(array)
         cvec = g[tuple(gamma_set.elements.T)] / gamma_set.norm_sq
-
-    finite = np.isfinite(cvec)
-    if not finite.all():
-        pos = int(np.argmin(finite))
-        raise DomainViolation(
-            f"coefficient {cvec[pos]} at gamma "
-            f"{tuple(gamma_set.elements[pos].tolist())} is not finite: "
-            "the samples overflow the transform"
-        )
     return ChebExpansion(gamma_set=gamma_set, coeffs=cvec)
 
 

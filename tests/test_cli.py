@@ -319,6 +319,19 @@ def test_eval_non_integer_n_exit_1(tmp_path, capsys):
     _assert_clean_error(capsys, code, "must be integers")
 
 
+def test_eval_oversized_spec_exit_1(tmp_path, capsys):
+    # The grid-box error names no coefficient entry and is passed on as is.
+    expansion = tmp_path / "p.json"
+    expansion.write_text(json.dumps({
+        "variant": "standard", "n": [1000003, 1000033], "kappa": None,
+        "coefficients": [{"gamma": [0, 0], "value": 1.0}],
+    }))
+    points = tmp_path / "pts.csv"
+    points.write_text("x_1,x_2\n0.1,0.2\n")
+    code = run(["eval", "--expansion", str(expansion), "--points", str(points)])
+    _assert_clean_error(capsys, code, "grid box of", "exceeds the limit")
+
+
 def test_non_finite_data_exit_1(tmp_path, capsys):
     spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
     data, _ = _write_node_data(tmp_path, spec, lambda x: 1.0)
@@ -381,21 +394,32 @@ def test_eval_non_numeric_points_exit_1(tmp_path, capsys):
     ([{"gamma": [0, 1], "value": 1.0}, {"gamma": [0, 1], "value": 5.0}],
      ["coefficient entry 2", "repeated gamma (0, 1)"]),
     ([{"gamma": [0, 0], "value": 1.0}, {"gamma": [4, 2], "value": 1.0}],
-     ["coefficient entry 2", "gamma (4, 2) outside the spectral set"]),
+     ["coefficient entry 2", "gamma (4, 2) is not in the spectral set"]),
     ([{"gamma": [0, 0, 0], "value": 1.0}],
-     ["coefficient entry 1", "gamma (0, 0, 0) outside the spectral set"]),
+     ["coefficient entry 1", "gamma (0, 0, 0) is not a tuple of 2 integers"]),
     ([{"gamma": [1, 1], "value": 1.0}, {"gamma": [10**30, 0], "value": 1.0}],
-     ["coefficient entry 2", "outside the spectral set"]),
+     ["coefficient entry 2", "gamma (1000000000000000000000000000000, 0)",
+      "is not in the spectral set"]),
     # the value of an entry must be finite
     ([{"gamma": [0, 0], "value": 1.0}, {"gamma": [1, 1], "value": math.nan}],
-     ["coefficient entry 2", "value nan is not finite"]),
+     ["coefficient entry 2", "coefficient nan at gamma (1, 1) is not finite"]),
     ([{"gamma": [0, 0], "value": -math.inf}],
-     ["coefficient entry 1", "value -inf is not finite"]),
+     ["coefficient entry 1", "coefficient -inf at gamma (0, 0)",
+      "is not finite"]),
     ([{"gamma": [0, 0], "value": 10**400}],
-     ["malformed expansion", "too large to convert to float"]),
+     ["coefficient entry 1", "at gamma (0, 0) is too large for a float"]),
     # a list inside a gamma makes the tuple unhashable
     ([{"gamma": [[0], 1], "value": 1.0}],
      ["malformed expansion", "unhashable type"]),
+    # the value of an entry must be a JSON number
+    ([{"gamma": [0, 0], "value": 1.0}, {"gamma": [1, 1], "value": "1.5"}],
+     ["coefficient entry 2", "coefficient '1.5' at gamma (1, 1)",
+      "is not a number"]),
+    ([{"gamma": [0, 0], "value": None}],
+     ["coefficient entry 1", "coefficient None at gamma (0, 0)",
+      "is not a number"]),
+    ([{"gamma": [0, 0], "value": 1.0}, {"gamma": [True, 1], "value": 1.0}],
+     ["coefficient entry 2", "must be integers, got True"]),
 ])
 def test_eval_bad_gamma_entry_exit_1(tmp_path, capsys, entries, needles):
     expansion = tmp_path / "expansion.json"

@@ -11,6 +11,7 @@ from lisscheb.errors import (
     DomainViolation,
     IndexOutOfRange,
     InvalidParameter,
+    LisschebError,
     NotInGammaSet,
     SpecMismatch,
 )
@@ -54,6 +55,12 @@ def test_cheb_T_examples():
     assert cheb_T_eval((2,), (0.5,)) == pytest.approx(-0.5)
     assert cheb_T_eval((3, 2), (1.0, -1.0)) == pytest.approx(1.0)
     assert cheb_T_eval((0, 0), (0.1, 0.9)) == 1.0
+
+
+@pytest.mark.parametrize("gamma", [(1.5, 0), (0, 1.0), (True, 0)])
+def test_cheb_T_rejects_non_integer_degree(gamma):
+    with pytest.raises(InvalidParameter, match="must be integers"):
+        cheb_T_eval(gamma, (0.3, 0.2))
 
 
 def test_domain_violation():
@@ -111,17 +118,41 @@ def test_mapping_fills_missing_gammas_with_zero():
     (np.ones((12, 1)), InvalidParameter, r"expected \(12,\)"),
     ([1.0] * 11 + [[1.0]], InvalidParameter, r"expected \(12,\)"),
     (3.0, InvalidParameter, r"expected \(12,\)"),
-    (["1.5"] * 12, InvalidParameter, "'1.5' at position 0"),
+    (["1.5"] * 12, InvalidParameter, r"'1.5' at gamma \(0, 0\)"),
+    ({(0, 0): 1.0, (2, 1): math.nan}, DomainViolation,
+     r"coefficient nan at gamma \(2, 1\) is not finite"),
+    ({(1, 0): -math.inf}, DomainViolation, r"-inf at gamma \(1, 0\)"),
+    # position 4 of the (5, 3) set is gamma (1, 1)
+    (np.where(np.arange(12) == 4, math.inf, 1.0), DomainViolation,
+     r"coefficient inf at gamma \(1, 1\) is not finite"),
+    (np.where(np.arange(12) == 4, complex(0, math.nan), 1j), DomainViolation,
+     r"at gamma \(1, 1\) is not finite"),
 ], ids=[
     "gamma_4_2", "outside_among_members", "huge_entry", "negative_entry",
     "float_entry", "bool_entry", "long_key", "int_key", "string_value",
     "none_value", "int_beyond_float", "short_array", "column_array",
-    "ragged_list", "scalar", "string_array",
+    "ragged_list", "scalar", "string_array", "nan_value", "inf_value",
+    "inf_array", "nan_complex_array",
 ])
 def test_constructor_rejects_bad_coefficients(coeffs, error, match):
     gs = build_gamma(NodeSpec(n=N53))
     with pytest.raises(error, match=match):
         ChebExpansion(gamma_set=gs, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("coeffs, row", [
+    ({(0, 0): 1.0, (1, 0): 1.0, (4, 2): 1.0}, 2),
+    ({(0, 0): 1.0, (0.5, 0): 1.0}, 1),
+    ({(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0, (0, 0, 0): 1.0}, 3),
+    ({(0, 0): 1.0, (1, 0): "x"}, 1),
+    ({(0, 0): 1.0, (1, 0): 2.0, (2, 0): math.nan}, 2),
+    ({(0, 0): 10**400}, 0),
+])
+def test_constructor_errors_name_the_mapping_row(coeffs, row):
+    gs = build_gamma(NodeSpec(n=N53))
+    with pytest.raises(LisschebError) as info:
+        ChebExpansion(gamma_set=gs, coeffs=coeffs)
+    assert info.value.row == row
 
 
 def test_expansion_eval_simple():
@@ -396,6 +427,14 @@ def test_fundamental_partition_of_unity():
 def test_fundamental_rejects_bad_index():
     with pytest.raises(IndexOutOfRange):
         fundamental(NodeSpec(n=N53), (0, 1))
+
+
+@pytest.mark.parametrize("index", [(1.0, 1.0), (True, 1), (1, 1.5), ("1", 1)])
+def test_fundamental_rejects_non_integer_index(index):
+    # (1, 1) is a node of (5, 3); a float or bool index used to match it.
+    with pytest.raises(InvalidParameter, match="must be integers"):
+        fundamental(NodeSpec(n=N53), index)
+    assert fundamental(NodeSpec(n=N53), (np.int64(1), 1)).coeffs.shape == (12,)
 
 
 def test_inner_product_examples():

@@ -62,6 +62,12 @@ def test_cgl_examples():
         cgl_point(4, -1)
 
 
+@pytest.mark.parametrize("m, i", [(0, 0), (-1, 0), (-2, -1)])
+def test_cgl_point_rejects_non_positive_order(m, i):
+    with pytest.raises(InvalidParameter, match="must be positive"):
+        cgl_point(m, i)
+
+
 def test_standard_counts():
     ns = build_node_set(NodeSpec(n=N53))
     assert len(ns) == 12

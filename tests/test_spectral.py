@@ -8,7 +8,6 @@ from lisscheb.errors import InvalidParameter, NotInGammaSet
 from lisscheb.nodes import NodeSpec, build_node_set
 from lisscheb.spectral import (
     build_gamma,
-    contains,
     contains_rows,
     involution,
     norm_sq,
@@ -159,16 +158,22 @@ def test_contains_agrees_with_enumeration(spec):
     members = set(gs)
     box = [mj + 1 for mj in spec.m]
     cand = list(itertools.product(*(range(-1, b + 1) for b in box)))
-    for g in cand:
-        assert contains(spec, g) == (g in members)
     rows = contains_rows(spec, np.array(cand, dtype=np.int64))
     assert rows.tolist() == [g in members for g in cand]
+    # norm_sq takes one gamma: members have a norm, every other row raises.
+    for g in cand:
+        if g in members:
+            assert norm_sq(spec, g) > 0
+        else:
+            with pytest.raises(NotInGammaSet):
+                norm_sq(spec, g)
     zero = (0,) * spec.dim
-    assert contains(spec, zero)
-    for bad in (zero + (0,), zero[1:], (-1,) + zero[1:], (10**30,) + zero[1:],
-                (-0.5,) + zero[1:]):
-        assert contains(spec, bad) is False
-    assert contains(spec, (1.0,) + zero[1:])
+    for bad in (zero + (0,), zero[1:], (-1,) + zero[1:], (10**30,) + zero[1:]):
+        with pytest.raises(NotInGammaSet):
+            norm_sq(spec, bad)
+    for bad in ((-0.5,) + zero[1:], (1.0,) + zero[1:]):
+        with pytest.raises(InvalidParameter, match="must be integers"):
+            norm_sq(spec, bad)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
