@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+import warnings
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from . import interp, quad, transform, verify
 from .congruence import validate_pairwise_coprime
 from .curves import LCCurve, sample_curve
 from .errors import DomainViolation, LisschebError
-from .nodes import NodeSet, NodeSpec, build_node_set
+from .nodes import NodeSet, NodeSpec, build_node_set, int_tuples
 from .spectral import build_gamma
 
 EXIT_OK = 0
@@ -181,31 +183,62 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def _read_samples(spec: NodeSpec, path: str) -> transform.SampleVector:
+    """The samples of a data file: a header row, then d index cells and a
+    value per row, parsed by one np.loadtxt call.  When that fails, skips a
+    blank line or repeats a row, _raise_bad_line names the bad line.
+    """
     d = spec.dim
-    values: Dict[Tuple[int, ...], float] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
+    with open(path) as handle:
+        if not handle.readline():
             raise LisschebError(f"empty data file {path}")
-        for row in reader:
-            if len(row) != d + 1:
-                raise LisschebError(
-                    f"expected {d} index columns plus a value, got {len(row)}"
+        lines = handle.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return transform.SampleVector(spec=spec, values={})
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                               dtype=[("i", np.int64, (d,)), ("v", np.float64)])
+    except (ValueError, Warning) as exc:
+        why = str(exc)
+    else:
+        values = dict(zip(int_tuples(table["i"]), table["v"].tolist()))
+        if len(values) == len(lines):
+            return transform.SampleVector(spec=spec, values=values)
+        why = "blank or repeated rows"
+    _raise_bad_line(path, lines, d, why)
+
+
+def _raise_bad_line(path: str, lines: List[str], d: int, why: str) -> NoReturn:
+    """Raise the error of the first bad data line (line 1 is the header).
+
+    As for np.loadtxt, the blank-stripped cells must pass int() and float()
+    without an underscore or a non-ASCII character, and indices fit int64.
+    """
+    seen = set()
+    for num, line in enumerate(lines, 2):
+        cells = [cell.strip() for cell in line.split(",")] if line else []
+        try:
+            if len(cells) != d + 1:
+                raise ValueError(
+                    f"expected {d} index columns plus a value, got {len(cells)}"
                 )
-            try:
-                idx = tuple(map(int, row[:d]))
-                value = float(row[d])
-            except ValueError as exc:
-                raise LisschebError(
-                    f"{path}, line {reader.line_num}: {exc}"
-                ) from None
-            if idx in values:
-                raise LisschebError(
-                    f"{path}, line {reader.line_num}: repeated index {idx}"
-                )
-            values[idx] = value
-    return transform.SampleVector(spec=spec, values=values)
+            idx = tuple(map(int, cells[:d]))
+            float(cells[d])
+            for cell in cells:
+                if "_" in cell or not cell.isascii():
+                    raise ValueError(f"cell {cell!r} has an underscore or a "
+                                     "non-ASCII character")
+            if not all(-2**63 <= i < 2**63 for i in idx):
+                raise ValueError(f"index {idx} is outside the int64 range")
+            if idx in seen:
+                raise ValueError(f"repeated index {idx}")
+        except ValueError as exc:
+            raise LisschebError(f"{path}, line {num}: {exc}") from None
+        seen.add(idx)
+    raise LisschebError(f"{path}: {why}")
 
 
 def _write_expansion(path: Optional[str], spec: NodeSpec, expansion) -> None:
@@ -253,6 +286,11 @@ def _load_expansion(path: str):
     try:
         n = validate_pairwise_coprime(payload["n"])
         kappa = payload.get("kappa")
+        variant = payload.get("variant")
+        if variant not in (None, "standard" if kappa is None else "shifted"):
+            raise LisschebError(
+                f"{path}: variant {variant!r} disagrees with kappa {kappa}"
+            )
         spec = NodeSpec(n=n, kappa=tuple(kappa) if kappa is not None else None)
         entries = payload["coefficients"]
         gammas = [tuple(entry["gamma"]) for entry in entries]
@@ -332,67 +370,54 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    main runs the module's cmd_<command>, looked up at each call rather
+    than bound into the cached parser.
+    """
     parser = argparse.ArgumentParser(
         prog="lisscheb",
         description="Interpolation and quadrature on Lissajous-Chebyshev nodes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nodes", help="emit the node set")
-    _add_spec_flags(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_nodes)
-
-    p = sub.add_parser("curve", help="sample a generating curve")
-    p.add_argument("--n", required=True)
-    p.add_argument("--epsilon", type=int, choices=(1, 2), default=1)
-    p.add_argument("--kappa", default=None)
-    p.add_argument("--u", default=None)
-    p.add_argument("--samples", type=int, default=1001)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=2.0 * math.pi)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("gamma", help="emit the spectral index set")
-    _add_spec_flags(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("interp", help="interpolate node data")
-    _add_spec_flags(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_interp)
-
-    p = sub.add_parser("eval", help="evaluate an expansion at points")
-    p.add_argument("--expansion", required=True)
-    p.add_argument("--points", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("quad", help="apply the quadrature rule to node data")
-    _add_spec_flags(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_quad)
-
-    p = sub.add_parser("verify", help="run the invariant suites")
-    _add_spec_flags(p)
-    p.add_argument("--suite", choices=("all",) + verify.SUITE_NAMES,
-                   default="all")
-    p.set_defaults(func=cmd_verify)
+    p = {name: sub.add_parser(name, help=text) for name, text in (
+        ("nodes", "emit the node set"),
+        ("curve", "sample a generating curve"),
+        ("gamma", "emit the spectral index set"),
+        ("interp", "interpolate node data"),
+        ("eval", "evaluate an expansion at points"),
+        ("quad", "apply the quadrature rule to node data"),
+        ("verify", "run the invariant suites"),
+    )}
+    for name in ("nodes", "gamma", "interp", "quad", "verify"):
+        _add_spec_flags(p[name])
+    for name in ("nodes", "gamma"):
+        p[name].add_argument("--format", choices=("csv", "json"),
+                             default="csv")
+    for name in ("interp", "quad"):
+        p[name].add_argument("--data", required=True)
+    p["curve"].add_argument("--n", required=True)
+    p["curve"].add_argument("--epsilon", type=int, choices=(1, 2), default=1)
+    p["curve"].add_argument("--kappa", default=None)
+    p["curve"].add_argument("--u", default=None)
+    p["curve"].add_argument("--samples", type=int, default=1001)
+    p["curve"].add_argument("--t0", type=float, default=0.0)
+    p["curve"].add_argument("--t1", type=float, default=2.0 * math.pi)
+    p["eval"].add_argument("--expansion", required=True)
+    p["eval"].add_argument("--points", required=True)
+    p["verify"].add_argument("--suite", choices=("all",) + verify.SUITE_NAMES,
+                             default="all")
+    for name in ("nodes", "curve", "gamma", "interp", "eval", "quad"):
+        p[name].add_argument("--out", default=None)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except LisschebError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -32,8 +32,3 @@ def cos_pi_ratio(k: int, m: int) -> float:
     g = math.gcd(k, m)
     return sign * math.cos(math.pi * (k // g) / (m // g))
 
-
-def sin_pi_ratio(k: int, m: int) -> float:
-    """Return sin(k*pi/m) via the quarter-period shift."""
-    # sin(x) = cos(x - pi/2); shift in units of pi/(2m).
-    return cos_pi_ratio(2 * k - m, 2 * m)

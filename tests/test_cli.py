@@ -1,14 +1,20 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lisscheb import verify
+from lisscheb import cli, verify
 from lisscheb.cli import main
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.interp import ChebExpansion, expansion_eval, interpolate
@@ -18,6 +24,7 @@ from lisscheb.transform import SampleVector
 
 
 N53 = validate_pairwise_coprime((5, 3))
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -374,6 +381,166 @@ def test_non_integer_index_cell_exit_1(tmp_path, capsys):
         _assert_clean_error(capsys, code, str(data), "line 4")
 
 
+def _per_row_samples(spec, path):
+    """The samples of a valid data file, read one csv row at a time."""
+    d = spec.dim
+    values = {}
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for row in reader:
+            assert len(row) == d + 1
+            idx = tuple(map(int, row[:d]))
+            assert idx not in values
+            values[idx] = float(row[d])
+    return values
+
+
+def _sample_file(tmp_path, spec, form):
+    """A data file of the spec's nodes in shuffled order.
+
+    The values span the float range and include -0.0, 0.0 and the smallest
+    subnormal; they are written alternately by %.17g and repr.  ``form`` is
+    "lf", "crlf", "spaces" (blanks around every cell) or "plus" (a + sign
+    on every index cell).
+    """
+    ns = build_node_set(spec)
+    rng = np.random.default_rng(len(ns))
+    values = rng.standard_normal(len(ns)) * 10.0 ** rng.integers(-300, 300,
+                                                                 len(ns))
+    values[:4] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308]
+    rows = []
+    for k in rng.permutation(len(ns)):
+        index = ns.indices[k].tolist()
+        cells = ["+%d" % i if form == "plus" else str(i) for i in index]
+        cells.append(repr(float(values[k])) if k % 2 else "%.17g" % values[k])
+        if form == "spaces":
+            cells = [" %s\t" % c for c in cells]
+        rows.append(",".join(cells))
+    header = ",".join([f"i_{j + 1}" for j in range(spec.dim)] + ["value"])
+    end = "\r\n" if form == "crlf" else "\n"
+    path = tmp_path / "samples.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(end.join([header] + rows) + end)
+    return path
+
+
+@pytest.mark.parametrize("form", ["lf", "crlf", "spaces", "plus"])
+@pytest.mark.parametrize("nv, kappa", [
+    ((5, 3), None),
+    ((5, 3), (0, 1)),
+    ((12,), None),
+    ((7, 5, 3, 2), None),
+    ((129, 128), None),
+])
+def test_reader_matches_per_row_oracle(tmp_path, nv, kappa, form):
+    spec = NodeSpec(n=validate_pairwise_coprime(nv), kappa=kappa)
+    path = _sample_file(tmp_path, spec, form)
+    want = _per_row_samples(spec, path)
+    got = cli._read_samples(spec, str(path)).values
+    assert list(got) == list(want)
+    assert all(type(i) is int for key in got for i in key)
+    assert [float.hex(v) for v in got.values()] == [
+        float.hex(v) for v in want.values()
+    ]
+
+
+def test_quad_reads_without_csv_reader(tmp_path, capsys, monkeypatch):
+    # A valid file is parsed in bulk; the per-line scan runs only on errors.
+    spec = NodeSpec(n=validate_pairwise_coprime((129, 128)))
+    data, _ = _write_node_data(tmp_path, spec, lambda x: 1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(cli.csv, "reader", refuse)
+    assert run(["quad", "--n", "129,128", "--data", str(data)]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(1.0, abs=1e-13)
+
+
+def _replace_cells(line, index=None, value=None):
+    cells = line.split(",")
+    if index is not None:
+        cells[0] = index
+    if value is not None:
+        cells[-1] = value
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda ls: ls.insert(4, ""), 5,
+     "expected 2 index columns plus a value, got 0"),
+    (lambda ls: ls.append(""), 14,
+     "expected 2 index columns plus a value, got 0"),
+    (lambda ls: ls.insert(2, " \t"), 3,
+     "expected 2 index columns plus a value, got 1"),
+    (lambda ls: ls.__setitem__(3, ls[3] + ",2"), 4,
+     "expected 2 index columns plus a value, got 4"),
+    (lambda ls: ls.__setitem__(3, _replace_cells(ls[3], index="1.0")), 4,
+     "invalid literal for int() with base 10: '1.0'"),
+    (lambda ls: ls.__setitem__(6, _replace_cells(ls[6], value="abc")), 7,
+     "could not convert string to float: 'abc'"),
+    (lambda ls: ls.__setitem__(6, _replace_cells(ls[6], value="")), 7,
+     "could not convert string to float: ''"),
+    (lambda ls: ls.append(ls[1]), 14, "repeated index (0, 0)"),
+    (lambda ls: ls.__setitem__(
+        3, _replace_cells(ls[3], index="9223372036854775808")), 4,
+     "index (9223372036854775808, 1) is outside the int64 range"),
+    (lambda ls: ls.__setitem__(3, _replace_cells(ls[3], index="0_1")), 4,
+     "cell '0_1' has an underscore or a non-ASCII character"),
+    (lambda ls: ls.__setitem__(5, _replace_cells(ls[5], value="1_5")), 6,
+     "cell '1_5' has an underscore or a non-ASCII character"),
+], ids=["blank-line", "trailing-blank-line", "whitespace-line", "four-cells",
+        "float-index", "abc-value", "empty-value", "repeated-row",
+        "beyond-int64", "underscore-index", "underscore-value"])
+def test_bad_data_line_names_file_and_line(tmp_path, capsys, edit, line,
+                                           message):
+    data, _ = _write_node_data(tmp_path, NodeSpec(n=N53), lambda x: 1.0)
+    lines = data.read_text().splitlines()
+    edit(lines)
+    data.write_text("\n".join(lines) + "\n")
+    for command in ("quad", "interp"):
+        code = run([command, "--n", "5,3", "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {data}, line {line}: {message}\n"
+
+
+# Pieces of data cells: blanks numpy and str.strip() agree on, digits that
+# int() takes and numpy does not, and int64 edge values.
+_CELL_PIECES = ["0", "7", "+", "-", ".", "e", "_", " ", "\t", "\x1c", "\xa0",
+                "٣", "１", '"', "#", "inf", "nan",
+                "9223372036854775807", "9223372036854775808"]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.lists(st.sampled_from(_CELL_PIECES), max_size=3)
+                .map("".join), min_size=1, max_size=3))
+def test_line_scan_rejects_what_loadtxt_rejects(cells):
+    line = ",".join(cells)
+    try:
+        np.loadtxt([line], dtype=[("i", np.int64, (1,)), ("v", np.float64)],
+                   delimiter=",", comments=None, ndmin=1)
+        accepted = True
+    except (ValueError, Warning):
+        accepted = False
+    with pytest.raises(cli.LisschebError) as exc:
+        cli._raise_bad_line("data.csv", [line], 1, "no bad line")
+    assert (str(exc.value) == "data.csv: no bad line") == accepted
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", "sample vector has 0 entries, expected 12"),
+    ("\n\n", "line 2: expected 2 index columns plus a value, got 0"),
+])
+def test_data_file_without_rows_exit_1(tmp_path, capsys, body, message):
+    data = tmp_path / "data.csv"
+    data.write_text("i_1,i_2,value\n" + body)
+    for command in ("quad", "interp"):
+        code = run([command, "--n", "5,3", "--data", str(data)])
+        _assert_clean_error(capsys, code, message)
+
+
 def test_eval_non_numeric_points_exit_1(tmp_path, capsys):
     spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
     data, _ = _write_node_data(tmp_path, spec, lambda x: x[0])
@@ -455,6 +622,71 @@ def test_eval_expansion_missing_key_exit_1(tmp_path, capsys):
     points.write_text("x_1,x_2\n0.1,0.2\n")
     code = run(["eval", "--expansion", str(expansion), "--points", str(points)])
     _assert_clean_error(capsys, code, str(expansion), "'coefficients'")
+
+
+@pytest.mark.parametrize("variant, kappa", [
+    ("shifted", None),
+    ("standard", [0, 1]),
+    ("shifted-ish", None),
+])
+def test_eval_variant_must_match_kappa(tmp_path, capsys, variant, kappa):
+    expansion = tmp_path / "expansion.json"
+    expansion.write_text(json.dumps({
+        "variant": variant, "n": [5, 3], "kappa": kappa,
+        "coefficients": [{"gamma": [0, 0], "value": 1.0}],
+    }))
+    points = tmp_path / "points.csv"
+    points.write_text("x_1,x_2\n0.1,0.2\n")
+    code = run(["eval", "--expansion", str(expansion), "--points", str(points)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: {expansion}: variant {variant!r} "
+                            f"disagrees with kappa {kappa}\n")
+
+
+@pytest.mark.parametrize("kappa", [None, [0, 1]])
+def test_eval_file_without_variant(tmp_path, capsys, kappa):
+    expansion = tmp_path / "expansion.json"
+    expansion.write_text(json.dumps({
+        "n": [5, 3], "kappa": kappa,
+        "coefficients": [{"gamma": [0, 0], "value": 1.5}],
+    }))
+    points = tmp_path / "points.csv"
+    points.write_text("x_1,x_2\n0.1,0.2\n")
+    assert run(["eval", "--expansion", str(expansion),
+                "--points", str(points)]) == 0
+    assert capsys.readouterr().out == (
+        "x_1,x_2,value\n0.10000000000000001,0.20000000000000001,1.5\n"
+    )
+
+
+def _run_process(argv):
+    """lisscheb as a process; a warning would show on its stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "lisscheb.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+
+
+def test_cli_as_a_process(tmp_path, capsys):
+    data, _ = _write_node_data(tmp_path, NodeSpec(n=N53),
+                               lambda x: x[0] - 2.0 * x[1] ** 2)
+    for command in ("quad", "interp"):
+        argv = [command, "--n", "5,3", "--data", str(data)]
+        proc = _run_process(argv)
+        assert run(argv) == 0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == capsys.readouterr().out
+
+    # The blank-only body makes np.loadtxt warn that it found no data.
+    bad = tmp_path / "bad.csv"
+    for body, line, cells in (("0,0,1.0\n1,1\n", 3, 2), ("\n", 2, 0)):
+        bad.write_text("i_1,i_2,value\n" + body)
+        proc = _run_process(["quad", "--n", "5,3", "--data", str(bad)])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: {bad}, line {line}: expected 2 index "
+                               f"columns plus a value, got {cells}\n")
 
 
 def test_quad_command(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lisscheb.trig import cos_pi_ratio, sin_pi_ratio
+from lisscheb.trig import cos_pi_ratio
 
 
 def test_exact_quarter_period_values():
@@ -33,16 +33,6 @@ def test_agrees_with_math_cos():
             assert cos_pi_ratio(k, m) == pytest.approx(
                 math.cos(math.pi * k / m), abs=1e-15
             )
-
-
-def test_sin_identity():
-    for m in (5, 8):
-        for k in range(2 * m):
-            assert sin_pi_ratio(k, m) == pytest.approx(
-                math.sin(math.pi * k / m), abs=1e-15
-            )
-    assert sin_pi_ratio(0, 7) == 0.0
-    assert sin_pi_ratio(2, 4) == 1.0
 
 
 def test_bad_denominator():
