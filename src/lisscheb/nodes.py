@@ -172,16 +172,18 @@ def cgl_point(m: int, i: int) -> float:
     return cos_pi_ratio(i, m)
 
 
+def _cos_table(m: int) -> np.ndarray:
+    """cos(k pi / m) for k < 2m, with exact angle reduction."""
+    return np.array([cos_pi_ratio(k, m) for k in range(2 * m)])
+
+
 def chi_tables(spec: NodeSpec) -> List[np.ndarray]:
     """Per-axis tables cos(k pi / m_j), k < 2 m_j, with exact angle reduction.
 
     Entry i <= m_j is the grid coordinate of index i; the full period
     serves the products chi_gamma(i) after reducing gamma_j i_j mod 2 m_j.
     """
-    return [
-        np.array([cos_pi_ratio(k, mj) for k in range(2 * mj)])
-        for mj in spec.m
-    ]
+    return [_cos_table(mj) for mj in spec.m]
 
 
 def check_box_size(corner: Sequence[int]) -> None:
@@ -300,13 +302,19 @@ def check_points(points, dim: int) -> np.ndarray:
     ``points`` is an (M, dim) array or a sequence of M coordinate
     sequences; the result is the (M, dim) float64 array of the points, the
     input array itself when it is one and needs no clamping.  Raises
-    DomainViolation at the first point, in order, with a wrong number of
-    coordinates, a NaN or infinite coordinate, or one outside [-1, 1] by
-    more than _DOMAIN_SLACK; the exception's ``row`` is that point's
-    position.
+    DomainViolation for an array that is not two-dimensional (an empty
+    sequence is no points), and at the first point, in order, with a wrong
+    number of coordinates, a NaN or infinite coordinate, or one outside
+    [-1, 1] by more than _DOMAIN_SLACK; the exception's ``row`` is that
+    point's position.
     """
     try:
-        x = np.asarray(points, dtype=np.float64).reshape(len(points), dim)
+        x = np.asarray(points, dtype=np.float64)
+        if x.ndim != 2 and x.shape != (0,):
+            raise DomainViolation(
+                f"points form an array of shape {x.shape}, expected (M, {dim})"
+            )
+        x = x.reshape(len(points), dim)
     except ValueError:
         # Ragged rows or rows of another length; anything else re-raises.
         row = next((k for k, p in enumerate(points) if len(p) != dim), None)

@@ -6,8 +6,9 @@ coefficients of a sample vector in that basis are computed twice: a direct
 sum c = X (w h) / ||chi||^2 with the chi matrix X, evaluated in row blocks
 from exact per-axis cosine tables and kept permanently as the reference
 oracle, and a fast path that embeds the weighted samples into the full grid
-and runs an endpoint-inclusive cosine transform along each axis via a real
-FFT of the mirror extension.
+and runs an endpoint-inclusive cosine transform along each axis: a product
+with a dense cosine matrix on short axes, a real FFT of the mirror extension
+on long ones.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice
 from typing import Dict, List, Optional, Union
 
@@ -23,7 +25,8 @@ import numpy as np
 from .congruence import integer_tuple
 from .errors import DomainViolation, IndexOutOfRange, InvalidParameter
 from .errors import NotInGammaSet, SpecMismatch
-from .nodes import MultiIndex, NodeSet, NodeSpec, build_node_set, chi_tables
+from .nodes import MultiIndex, NodeSet, NodeSpec, _cos_table, build_node_set
+from .nodes import chi_tables
 from .spectral import GammaSet, SpectralIndex, build_gamma
 from .trig import cos_pi_ratio
 
@@ -31,6 +34,14 @@ Scalar = Union[float, complex]
 
 # Largest number of chi-matrix entries coefficients_naive holds at once.
 _BLOCK_ENTRIES = 1 << 16
+
+# Longest axis, in points, that the cosine transform computes with a dense
+# matrix rather than the FFT.  On 2 vCPUs dense won or tied at every length
+# up to 450 points on 1-D and 2-D grids, BLAS capped and uncapped
+# (CHANGES.md has the table); the FFT's cost swings with the factors of 2m,
+# 8.7 ms against 0.7 ms dense on a (258, 257) grid, where 2m = 2 * 257.
+# The limit stays at 258 so that the matrix cache stays small.
+_DENSE_AXIS = 258
 
 
 @dataclass(frozen=True)
@@ -258,7 +269,10 @@ def coefficients_naive(
                 h.spec, gammas, node_set.indices[k : k + cols], tables
             )
             acc[r : r + rows] += x @ wv[k : k + cols]
-    return ChebExpansion(gamma_set=gamma_set, coeffs=acc / gamma_set.norm_sq)
+    # The constructor reports overflow as DomainViolation, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = acc / gamma_set.norm_sq
+    return ChebExpansion(gamma_set=gamma_set, coeffs=coeffs)
 
 
 def _scatter_grid(node_set: NodeSet, values: np.ndarray) -> np.ndarray:
@@ -275,24 +289,40 @@ def embed_grid(h: SampleVector, node_set: NodeSet) -> np.ndarray:
     return _scatter_grid(node_set, node_set.weights * vals)
 
 
-def _cosine_transform_axis(grid: np.ndarray, axis: int) -> np.ndarray:
-    """Endpoint-inclusive cosine sums along one axis.
+@lru_cache(maxsize=16)
+def _cosine_matrix(m: int) -> np.ndarray:
+    """The read-only matrix C[k, i] = cos(pi k i / m) for 0 <= k, i <= m.
 
-    Computes S_k = sum_{i=0}^m g_i cos(pi k i / m) for k = 0..m by
-    mirror-extending to length 2m and taking the real part of an rfft:
-    the extension's DFT equals 2 S_k - g_0 - (-1)^k g_m.
+    Entries come from the exact-reduction table of nodes.chi_tables.  The
+    cache keeps at most 16 matrices of at most _DENSE_AXIS**2 float64
+    entries, 8.5 MB at worst.
     """
-    m = grid.shape[axis] - 1
-    g0 = np.take(grid, [0], axis=axis)
-    gm = np.take(grid, [m], axis=axis)
-    interior = np.take(grid, range(m - 1, 0, -1), axis=axis)
-    ext = np.concatenate([grid, interior], axis=axis)
-    y = np.fft.rfft(ext, axis=axis)
-    signs_shape = [1] * grid.ndim
-    signs_shape[axis] = m + 1
-    signs = (-1.0) ** np.arange(m + 1)
-    signs = signs.reshape(signs_shape)
-    return (y.real + g0 + signs * gm) / 2.0
+    k = np.arange(m + 1)
+    c = _cos_table(m)[np.outer(k, k) % (2 * m)]
+    c.setflags(write=False)
+    return c
+
+
+def _cosine_transform_axis(grid: np.ndarray) -> np.ndarray:
+    """Endpoint-inclusive cosine sums along the first axis, moved last.
+
+    Computes S_k = sum_{i=0}^m g_i cos(pi k i / m) for k = 0..m along axis
+    0 and returns them as the last axis, so d calls transform every axis
+    of a d-D grid and restore its axis order.  An axis of at most
+    _DENSE_AXIS points is one product with _cosine_matrix(m).  A longer
+    one is mirror-extended to length 2m and transformed by an rfft, whose
+    real part is 2 S_k - g_0 - (-1)^k g_m.  The FFT runs on the halved
+    grid, so finite samples whose sum is finite do not overflow.
+    """
+    m = grid.shape[0] - 1
+    if m + 1 <= _DENSE_AXIS:
+        # The transposed view costs no copy; C is symmetric.
+        out = grid.reshape(m + 1, -1).T @ _cosine_matrix(m)
+        return out.reshape(grid.shape[1:] + (m + 1,))
+    half = 0.5 * np.moveaxis(grid, 0, -1)
+    ext = np.concatenate([half, half[..., m - 1 : 0 : -1]], axis=-1)
+    y = np.fft.rfft(ext).real
+    return y + half[..., :1] + (-1.0) ** np.arange(m + 1) * half[..., m:]
 
 
 def coefficients_fast(
@@ -326,6 +356,6 @@ def coefficients_fast(
 
 def _transform_all_axes(array: np.ndarray) -> np.ndarray:
     out = array
-    for axis in range(array.ndim):
-        out = _cosine_transform_axis(out, axis)
+    for _ in range(array.ndim):
+        out = _cosine_transform_axis(out)
     return out

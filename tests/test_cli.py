@@ -362,12 +362,30 @@ def test_repeated_sample_row_exit_1(tmp_path, capsys):
 
 
 def test_overflowing_data_exit_1(tmp_path, capsys):
+    # +-1.7e308 with the sign of T_1(x_1) T_1(x_2): the true coefficient at
+    # gamma (1, 1) is about 4 * 0.43 * 1.7e308, beyond the float range.
     spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
-    data, _ = _write_node_data(tmp_path, spec, lambda x: 1.7e308)
+    data, _ = _write_node_data(
+        tmp_path, spec, lambda x: math.copysign(1.7e308, x[0] * x[1])
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["interp", "--n", "5,3", "--data", str(data)])
-    _assert_clean_error(capsys, code, "(0, 0)", "not finite")
+    _assert_clean_error(capsys, code, "(1, 1)", "not finite")
+
+
+def test_data_near_float_max_with_finite_coefficients_exit_0(tmp_path):
+    spec = NodeSpec(n=validate_pairwise_coprime((5, 3)))
+    data, _ = _write_node_data(tmp_path, spec, lambda x: 1.7e308)
+    out = tmp_path / "p.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["interp", "--n", "5,3", "--data", str(data),
+                    "--out", str(out)])
+    assert code == 0
+    first = json.loads(out.read_text())["coefficients"][0]
+    assert first["gamma"] == [0, 0]
+    assert first["value"] == pytest.approx(1.7e308, rel=1e-14)
 
 
 def test_non_integer_index_cell_exit_1(tmp_path, capsys):

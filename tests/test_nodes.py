@@ -12,6 +12,7 @@ from lisscheb.errors import (
     InvalidParameter,
     OverflowDimension,
 )
+from lisscheb.interp import ChebExpansion, expansion_eval
 from lisscheb.nodes import (
     MAX_BOX_CELLS,
     NodeSpec,
@@ -23,6 +24,7 @@ from lisscheb.nodes import (
     class_map_standard,
     variety_membership,
 )
+from lisscheb.spectral import build_gamma
 
 N53 = validate_pairwise_coprime((5, 3))
 N532 = validate_pairwise_coprime((5, 3, 2))
@@ -240,6 +242,18 @@ def test_check_points_clamps_the_slack():
     assert x[0, 0] > 1.0  # the input is not modified
     assert check_point(x[0], 2) == [1.0, -1.0]
     assert check_points([], 2).shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 2, 1), (2, 1, 2), (1, 1, 2), (0, 2, 1), (4,), (2,)]
+)
+def test_check_points_rejects_arrays_that_are_not_two_dimensional(shape):
+    with pytest.raises(DomainViolation, match=r"shape .*expected \(M, 2\)"):
+        check_points(np.zeros(shape), 2)
+    if len(shape) > 2:  # a flat array is one point to expansion_eval
+        p = ChebExpansion(build_gamma(NodeSpec(n=N53)), {(0, 0): 1.0})
+        with pytest.raises(DomainViolation, match="shape"):
+            expansion_eval(p, np.zeros(shape))
 
 
 def test_variety_membership_keeps_rounding_slack():

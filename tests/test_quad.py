@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import small_specs
 
+from lisscheb import transform
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import InvalidParameter, OverflowDimension
 from lisscheb.nodes import NodeSpec, build_node_set
@@ -191,6 +192,15 @@ def test_exactness_table_matches_oracle(spec, wide):
     want = acc.ravel()
     assert np.abs(rules - want).max() <= 1e-13
     assert np.array_equal(oks, np.abs(want - targets) < tol)
+
+
+def test_exactness_table_on_an_axis_longer_than_the_dense_limit():
+    spec = NodeSpec(n=validate_pairwise_coprime((300,)))
+    assert spec.m[0] + 1 > transform._DENSE_AXIS
+    box = [2 * spec.m[0] + 1]
+    table = exactness_table(build_node_set(spec), box)
+    assert np.abs(table.rule_value - node_rule(spec, box)).max() <= 1e-13
+    assert table.ok.all()
 
 
 def test_tampered_weight_fails_both_quadrature_checks():

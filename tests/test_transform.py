@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 from fractions import Fraction
 import sys
@@ -32,6 +33,7 @@ from lisscheb.transform import (
     discrete_integral,
     embed_grid,
 )
+from lisscheb.trig import cos_pi_ratio
 
 N53 = validate_pairwise_coprime((5, 3))
 
@@ -226,6 +228,62 @@ def test_fast_handles_complex_samples():
         assert abs(f - c) < 1e-12
 
 
+# One axis longer than the dense-matrix limit: a 1-D spec and a 2-D spec
+# with one long and one short axis.
+LONG_AXIS_SPECS = [
+    NodeSpec(n=validate_pairwise_coprime((300,))),
+    NodeSpec(n=validate_pairwise_coprime((301, 4))),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, complex_valued",
+    [(spec, c) for spec in LONG_AXIS_SPECS for c in (False, True)]
+    + [(spec, True) for spec in ALL_SPECS],
+)
+def test_fast_matches_naive_on_both_sides_of_the_size_rule(
+    spec, complex_valued
+):
+    assert spec in ALL_SPECS or max(spec.m) + 1 > transform._DENSE_AXIS
+    ns = build_node_set(spec)
+    h = random_samples(spec, np.random.default_rng(11), complex_valued)
+    fast = coefficients_fast(h, node_set=ns)
+    naive = coefficients_naive(h, node_set=ns)
+    assert fast.coeffs.dtype == naive.coeffs.dtype
+    assert _max_relative_deviation(fast.coeffs, naive.coeffs) < 1e-12
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_cosine_transform_axis_matches_direct_sum(monkeypatch, offset):
+    points = transform._DENSE_AXIS + offset
+    m = points - 1
+    grid = np.random.default_rng(12).standard_normal((points, 3, 2))
+    k = np.arange(points)
+    # cos(pi k i / m) by numpy after reducing k i mod 2m, not cos_pi_ratio.
+    direct = np.cos(np.pi * (np.outer(k, k) % (2 * m)) / m)
+    want = np.moveaxis(np.tensordot(direct, grid, axes=(1, 0)), 0, -1)
+    dense = []
+    original = transform._cosine_matrix
+    monkeypatch.setattr(
+        transform, "_cosine_matrix", lambda m: dense.append(m) or original(m)
+    )
+    got = transform._cosine_transform_axis(grid)
+    assert dense == ([m] if offset <= 0 else [])
+    assert got.shape == (3, 2, points)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_cosine_matrix_is_the_exact_table_and_read_only():
+    m = 12
+    c = transform._cosine_matrix(m)
+    assert not c.flags.writeable
+    want = [[cos_pi_ratio(k * i, m) for i in range(m + 1)]
+            for k in range(m + 1)]
+    assert np.array_equal(c, want)
+    # exact zeros and signs where k i / m is a half or a whole integer
+    assert c[3, 2] == 0.0 and c[6, 2] == -1.0 and c[12, 12] == 1.0
+
+
 def test_transform_is_linear():
     spec = NodeSpec(n=N53)
     rng = np.random.default_rng(9)
@@ -395,16 +453,50 @@ def test_numeric_samples_keep_their_value(good, want):
     assert vals[ns.lookup[(1, 3)]] == want
 
 
+def signed_samples(spec, gamma, value):
+    """value times the sign of chi_gamma at each node (+ where it is 0)."""
+    ns = build_node_set(spec)
+    return SampleVector(spec=spec, values={
+        node.index: math.copysign(value, chi_eval(spec, gamma, node.index))
+        for node in ns.nodes
+    })
+
+
+# A short-axis spec and a 1-D spec whose axis the FFT transforms.
+OVERFLOW_SPECS = [
+    (NodeSpec(n=N53), (1, 1)),
+    (NodeSpec(n=validate_pairwise_coprime((300,))), (7,)),
+]
+
+
 def test_overflowing_samples_rejected():
-    # Finite samples near the float64 maximum overflow the transform: the
-    # constant coefficient of h = 1.7e308 is 1.7e308, but its sum is inf.
-    h = constant_samples(NodeSpec(n=N53), 1.7e308)
+    # +-1.7e308 with the sign of chi_gamma, e(gamma) = d: the sum
+    # <h, chi_gamma> is finite, but the true coefficient, that sum over
+    # ||chi_gamma||^2 = 2^-d, exceeds the float range.
+    for spec, gamma in OVERFLOW_SPECS:
+        gs = build_gamma(spec)
+        assert gs.e_counts[list(gs).index(gamma)] == spec.dim
+        h = signed_samples(spec, gamma, 1.7e308)
+        want = rf"{re.escape(str(gamma))} is not finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (coefficients_fast, coefficients_naive, interpolate):
+                with pytest.raises(DomainViolation, match=want):
+                    run(h)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in OVERFLOW_SPECS])
+def test_samples_near_float_max_with_finite_coefficients_accepted(spec):
+    # The constant coefficient of h = 1.7e308 is 1.7e308, which is finite;
+    # on either path no intermediate sum may exceed it.
+    long_axis = max(spec.m) + 1 > transform._DENSE_AXIS
+    assert long_axis == (spec.dim == 1)  # one spec on each path
+    h = constant_samples(spec, 1.7e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainViolation, match=r"\(0, 0\) is not finite"):
-            coefficients_fast(h)
-        with pytest.raises(DomainViolation, match="not finite"):
-            interpolate(h)
+        p = coefficients_fast(h)
+    assert p.coeffs[0] == pytest.approx(1.7e308, rel=1e-14)
+    assert np.abs(p.coeffs[1:]).max() < 1e-13 * 1.7e308
 
 
 def test_transform_does_not_import_interp():

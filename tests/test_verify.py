@@ -64,6 +64,42 @@ names = {span[2] for span in tracer.spans}
 want = {"verify." + f for f in tracing.SPANNED["verify"]}
 assert want <= names, sorted(want - names)
 """
+    _run_in_checkout(script)
+
+
+def test_benchmark_layers_are_observed():
+    # perfbench/run.py reports a per-layer metric only when its span was
+    # recorded or its counter is above 0 in a traced pass, and
+    # perfbench/smoke.py fails otherwise.  After a warm-up, as after the
+    # benchmark's set-up, one interpolate, integrate and expansion_eval must
+    # observe every layer, including the lazy lookup and the cos_pi_ratio
+    # calls that a cache could remove.
+    script = """
+import sys
+sys.path.insert(0, "perfbench")
+import lisscheb, run, tracing
+from lisscheb import interp, quad
+from lisscheb.nodes import NodeSpec, build_node_set
+from lisscheb.transform import SampleVector
+spec = NodeSpec(n=lisscheb.validate_pairwise_coprime((5, 3)))
+h = SampleVector(spec, dict.fromkeys(build_node_set(spec).lookup, 1.0))
+def once():
+    interp.expansion_eval(interp.interpolate(h), [[0.5, -0.25]])
+    quad.integrate(h)
+once()
+tracer = tracing.install(lisscheb)
+once()
+names = {span[2] for span in tracer.spans}
+missing = {span for _, span, _ in run.LAYER_TIMES} - names
+assert not missing, sorted(missing)
+counts = tracing.pass_counts(tracer.counts)
+unseen = [name for name, _ in run.LAYER_COUNTS if not counts[name]]
+assert not unseen, unseen
+"""
+    _run_in_checkout(script)
+
+
+def _run_in_checkout(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
