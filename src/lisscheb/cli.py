@@ -215,7 +215,7 @@ def _raise_bad_line(path: str, lines: List[str], d: int, why: str) -> NoReturn:
     """Raise the error of the first bad data line (line 1 is the header).
 
     As for np.loadtxt, the blank-stripped cells must pass int() and float()
-    without an underscore or a non-ASCII character, and indices fit int64.
+    and _check_cells, and indices fit int64.
     """
     seen = set()
     for num, line in enumerate(lines, 2):
@@ -227,10 +227,7 @@ def _raise_bad_line(path: str, lines: List[str], d: int, why: str) -> NoReturn:
                 )
             idx = tuple(map(int, cells[:d]))
             float(cells[d])
-            for cell in cells:
-                if "_" in cell or not cell.isascii():
-                    raise ValueError(f"cell {cell!r} has an underscore or a "
-                                     "non-ASCII character")
+            _check_cells(cells)
             if not all(-2**63 <= i < 2**63 for i in idx):
                 raise ValueError(f"index {idx} is outside the int64 range")
             if idx in seen:
@@ -239,6 +236,18 @@ def _raise_bad_line(path: str, lines: List[str], d: int, why: str) -> NoReturn:
             raise LisschebError(f"{path}, line {num}: {exc}") from None
         seen.add(idx)
     raise LisschebError(f"{path}: {why}")
+
+
+def _check_cells(cells: Sequence[str]) -> None:
+    """Reject a cell with an underscore or a non-ASCII character.
+
+    int() and float() read "1_5" as 15 and take non-ASCII digits such as
+    "٣"; np.loadtxt does not, so no data file accepts them.
+    """
+    for cell in cells:
+        if "_" in cell or not cell.isascii():
+            raise ValueError(f"cell {cell!r} has an underscore or a "
+                             "non-ASCII character")
 
 
 def _write_expansion(path: Optional[str], spec: NodeSpec, expansion) -> None:
@@ -317,13 +326,17 @@ def _load_expansion(path: str):
 
 
 def _read_points(path: str) -> Tuple[List[List[float]], List[int]]:
-    """The coordinate rows of a points file and the line of each row."""
+    """The coordinate rows of a points file and the line of each row.
+
+    Each cell must pass float() and _check_cells, as in sample data files.
+    """
     rows, lines = [], []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         next(reader, None)
         for row in reader:
             try:
+                _check_cells(row)
                 rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise LisschebError(

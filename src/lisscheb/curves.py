@@ -15,6 +15,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .congruence import DimensionVector, crt_solve, integer_tuple
 from .errors import IndexOutOfRange, InvalidParameter, InvalidRange, ZeroEntry
+from .nodes import MAX_BOX_CELLS
 from .trig import cos_pi_ratio
 
 Point = Tuple[float, ...]
@@ -233,12 +234,22 @@ def sample_curve(
     num_samples: int,
     t_range: Tuple[float, float] = (0.0, 2.0 * math.pi),
 ) -> List[Point]:
-    """Sample the curve at equispaced parameters over [t0, t1]."""
+    """Sample the curve at equispaced parameters over [t0, t1].
+
+    Raises InvalidRange for fewer than two or more than MAX_BOX_CELLS
+    samples, a reversed range, and a range whose ends are NaN or infinite or
+    overflow once multiplied by the curve's frequencies.
+    """
     (num_samples,) = integer_tuple((num_samples,), "sample count")
     t0, t1 = t_range
+    # Bounds |t1 - t0| and every frequency times t; a NaN end gives NaN.
+    if not math.isfinite(max(curve.n.coproducts) * (abs(t0) + abs(t1))):
+        raise InvalidRange(f"parameter range [{t0}, {t1}] is not finite "
+                           "at the curve's frequencies")
     if t1 < t0:
         raise InvalidRange(f"empty parameter range [{t0}, {t1}]")
-    if num_samples < 2:
-        raise InvalidRange("need at least two samples")
+    if not 2 <= num_samples <= MAX_BOX_CELLS:
+        raise InvalidRange(f"need from 2 to {MAX_BOX_CELLS} samples, "
+                           f"got {num_samples}")
     step = (t1 - t0) / (num_samples - 1)
     return [lc_eval(curve, t0 + i * step) for i in range(num_samples)]

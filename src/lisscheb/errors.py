@@ -60,7 +60,8 @@ class IndexOutOfRange(LisschebError):
 
 
 class InvalidRange(LisschebError):
-    """A parameter interval is empty or reversed."""
+    """A parameter interval is empty, reversed or not finite, or a sample
+    count is out of range."""
 
 
 class NotInGammaSet(LisschebError):

@@ -16,14 +16,8 @@ import numpy as np
 
 from .congruence import integer_tuple
 from .errors import IndexOutOfRange, SpecMismatch
-from .nodes import (
-    MultiIndex,
-    NodeSpec,
-    build_node_set,
-    check_point,
-    check_points,
-)
-from .spectral import GammaSet, SpectralIndex, build_gamma
+from .nodes import MultiIndex, NodeSpec, build_node_set, check_points
+from .spectral import SpectralIndex, build_gamma
 from .transform import ChebExpansion, SampleVector, chi_matrix, coefficients_fast
 
 Scalar = Union[float, complex]
@@ -39,63 +33,44 @@ def cheb_T_eval(gamma: SpectralIndex, x: Sequence[float]) -> float:
     Raises InvalidParameter for a degree that is not an integer.
     """
     gamma = integer_tuple(gamma, "gamma")
-    x = check_point(x, len(gamma))
+    x = check_points([x], len(gamma))[0].tolist()
     out = 1.0
     for gj, xj in zip(gamma, x):
         out *= math.cos(gj * math.acos(xj))
     return out
 
 
-def _cheb_tables(
-    gamma_set: GammaSet, x: Sequence[float]
-) -> list:
-    """Per-dimension tables of T_k(x_j) by the three-term recurrence."""
-    tables = []
-    for j, xj in enumerate(x):
-        top = int(gamma_set.elements[:, j].max())
-        t = np.empty(top + 1)
-        t[0] = 1.0
-        if top >= 1:
-            t[1] = xj
-        for k in range(2, top + 1):
-            t[k] = 2.0 * xj * t[k - 1] - t[k - 2]
-        tables.append(t)
-    return tables
+def _cheb_table(x: np.ndarray, m: Sequence[int]) -> np.ndarray:
+    """Array (M, d, max(m) + 1) of T_k(x_ij) = cos(k arccos x_ij).
 
-
-def _cheb_rows(xj: np.ndarray, top: int) -> np.ndarray:
-    """Table (M, top + 1) of T_k(xj), by the recurrence of _cheb_tables."""
-    x2 = 2.0 * xj
-    t = np.empty((xj.shape[0], top + 1))
-    t[:, 0] = 1.0
-    if top >= 1:
-        t[:, 1] = xj
-    for k in range(2, top + 1):
-        t[:, k] = x2 * t[:, k - 1] - t[:, k - 2]
-    return t
+    x is a checked (M, d) array; row i, axis j holds T_k at x_ij for every
+    degree k up to max(m), which covers every gamma_j <= m_j.  Each entry
+    depends only on x_ij and k, so a point gives the same row alone or in a
+    block.
+    """
+    return np.cos(np.arccos(x)[:, :, None] * np.arange(max(m) + 1))
 
 
 def _eval_points(p: ChebExpansion, x: np.ndarray) -> np.ndarray:
     """sum_gamma c_gamma T_gamma at the rows of a checked (M, d) array.
 
     Works through blocks of at most _EVAL_BLOCK term entries.  Each block
-    builds its per-axis recurrence tables as _cheb_tables does, multiplies
-    the terms in the same axis order as the one-point loop and sums them
-    with a cumulative sum, which adds one term after another in gamma-set
-    order, so every value equals the one-point loop's bit for bit.
+    takes its rows of _cheb_table as the one-point loop does, multiplies
+    the terms in the same axis order as that loop and sums them with a
+    cumulative sum, which adds one term after another in gamma-set order,
+    so every value equals the one-point loop's bit for bit.
     """
     g = p.gamma_set.elements
     c = p.coeffs
     n = c.shape[0]
     m, d = x.shape
-    tops = g.max(axis=0).tolist()
     out = np.empty(m, dtype=c.dtype)
     rows = max(1, _EVAL_BLOCK // n)
     for start in range(0, m, rows):
-        xb = x[start : start + rows]
-        term = np.multiply(c, _cheb_rows(xb[:, 0], tops[0])[:, g[:, 0]])
+        t = _cheb_table(x[start : start + rows], p.gamma_set.spec.m)
+        term = np.multiply(c, t[:, 0, g[:, 0]])
         for j in range(1, d):
-            term *= _cheb_rows(xb[:, j], tops[j])[:, g[:, j]]
+            term *= t[:, j, g[:, j]]
         out[start : start + rows] = np.cumsum(term, axis=1, out=term)[:, -1]
     # The loop's sum starts from 0.0, which turns a -0.0 total into 0.0.
     return out + 0.0
@@ -106,18 +81,16 @@ def expansion_eval(p: ChebExpansion, x: Sequence[float]) -> Scalar:
 
     A point of d coordinates gives a scalar.  An (M, d) array gives an
     array of the M values, float, or complex when a coefficient is.  Both
-    use recurrence tables of one-dimensional Chebyshev values, so the cost
+    take one-dimensional tables T_k(x_j) = cos(k arccos x_j), so the cost
     is linear in the spectral set size, and both sum the terms in
-    gamma-set order, so the values agree bit for bit; they match the
-    arccos formula to rounding error.  Points are checked by
-    nodes.check_points' rule.
+    gamma-set order, so the values agree bit for bit.  Points are checked
+    by nodes.check_points.
     """
     gs = p.gamma_set
     # An array of rows, or a sequence of rows even of different lengths.
     if getattr(x, "ndim", 1) == 2 or len(x) and hasattr(x[0], "__len__"):
         return _eval_points(p, check_points(x, gs.spec.dim))
-    x = check_point(x, gs.spec.dim)
-    tables = _cheb_tables(gs, x)
+    tables = _cheb_table(check_points([x], gs.spec.dim), gs.spec.m)[0]
     columns = [t[gs.elements[:, j]] for j, t in enumerate(tables)]
     acc = 0.0
     for c, *ts in zip(p.coeffs, *columns):
@@ -146,14 +119,11 @@ def kernel_eval(
     spectral set, the special corner included.
     """
     gs = build_gamma(spec)
-    x = check_point(x, spec.dim)
-    y = check_point(y, spec.dim)
-    tx = _cheb_tables(gs, x)
-    ty = _cheb_tables(gs, y)
+    tx, ty = _cheb_table(check_points([x, y], spec.dim), spec.m)
     terms = np.ones(len(gs))
     for j in range(spec.dim):
         col = gs.elements[:, j]
-        terms *= tx[j][col] * ty[j][col]
+        terms *= tx[j, col] * ty[j, col]
     return float(np.dot(np.exp2(gs.e_counts.astype(np.float64)), terms))
 
 

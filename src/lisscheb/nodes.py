@@ -335,11 +335,6 @@ def check_points(points, dim: int) -> np.ndarray:
     return x.clip(-1.0, 1.0)
 
 
-def check_point(x: Sequence[float], dim: int) -> List[float]:
-    """Validate one point of the cube [-1, 1]^dim by check_points' rule."""
-    return check_points([x], dim)[0].tolist()
-
-
 def variety_membership(
     spec: NodeSpec, x: Sequence[float], tol: float = 1e-9
 ) -> bool:
@@ -347,10 +342,10 @@ def variety_membership(
 
     The variety is the set where T_{n_1}(x_1) = ... = T_{n_d}(x_d)
     (standard), or (-1)^{kappa_i} T_{2n_i}(x_i) all equal (shifted).
-    Raises DomainViolation for a point that check_point rejects.
+    Raises DomainViolation for a point that check_points rejects.
     """
     vals = []
-    for j, xj in enumerate(check_point(x, spec.dim)):
+    for j, xj in enumerate(check_points([x], spec.dim)[0].tolist()):
         mj = spec.m[j]
         v = math.cos(mj * math.acos(xj))
         if spec.is_shifted and spec.kappa[j] % 2 == 1:

@@ -18,7 +18,7 @@ from lisscheb import cli, verify
 from lisscheb.cli import main
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.interp import ChebExpansion, expansion_eval, interpolate
-from lisscheb.nodes import NodeSpec, build_node_set
+from lisscheb.nodes import MAX_BOX_CELLS, NodeSpec, build_node_set
 from lisscheb.spectral import build_gamma
 from lisscheb.transform import SampleVector
 
@@ -309,6 +309,9 @@ def _assert_clean_error(capsys, code, *needles):
     ["curve", "--n", "5,3", "--u", "1,2"],
     ["gamma", "--n", "1000003,1000033"],
     ["nodes", "--n", "1000003,1000033"],
+    ["curve", "--n", "5,3", "--t0", "nan"],
+    ["curve", "--n", "5,3", "--t1", "inf"],
+    ["curve", "--n", "5,3", "--samples", str(MAX_BOX_CELLS + 1)],
 ])
 def test_bad_parameters_exit_1(argv, capsys):
     _assert_clean_error(capsys, run(argv))
@@ -622,6 +625,11 @@ def test_eval_bad_gamma_entry_exit_1(tmp_path, capsys, entries, needles):
     ("0.3,1.5", "coordinate 1.5 outside [-1, 1]"),
     ("0.3,0.4,0.5", "point has 3 coordinates, expected 2"),
     ("nan,0.4", "coordinate nan is not finite"),
+    # float() takes these cells; the cell rule of sample files does not.
+    ("0.3,0.1_2", "cell '0.1_2' has an underscore or a non-ASCII character"),
+    ("٣,0.4", "cell '٣' has an underscore or a non-ASCII character"),
+    ("0.3,0.5\xa0",
+     "cell '0.5\\xa0' has an underscore or a non-ASCII character"),
 ])
 def test_eval_bad_point_names_the_line(tmp_path, capsys, row, message):
     expansion = _expansion_file(tmp_path, NodeSpec(n=N53))

@@ -19,7 +19,7 @@ from lisscheb.curves import (
     total_node_count,
 )
 from lisscheb.errors import IndexOutOfRange, InvalidParameter, InvalidRange
-from lisscheb.nodes import NodeSpec, variety_membership
+from lisscheb.nodes import MAX_BOX_CELLS, NodeSpec, variety_membership
 
 N53 = validate_pairwise_coprime((5, 3))
 N532 = validate_pairwise_coprime((5, 3, 2))
@@ -257,6 +257,25 @@ def test_sample_curve_errors():
         sample_curve(c, 10, (1.0, 0.0))
     with pytest.raises(InvalidRange):
         sample_curve(c, 1, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("t_range", [
+    (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0),
+    (-math.inf, math.inf),
+    # Finite ends that overflow: t1 - t0, and 5 t (5 is a frequency).
+    (-1e308, 1e308), (1e308, 1e308),
+])
+def test_sample_curve_rejects_non_finite_range(t_range):
+    c = LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 1))
+    with pytest.raises(InvalidRange, match="not finite"):
+        sample_curve(c, 10, t_range)
+
+
+@pytest.mark.parametrize("count", [MAX_BOX_CELLS + 1, 10**30])
+def test_sample_curve_rejects_too_many_samples(count):
+    c = LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 1))
+    with pytest.raises(InvalidRange, match=f"got {count}"):
+        sample_curve(c, count)
 
 
 def test_samples_lie_on_variety():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.chebyshev import chebvander
 from strategies import small_specs
 
 from lisscheb import interp
@@ -259,7 +260,32 @@ def test_batched_eval_rejects_bad_points(bad, row, match):
     assert info.value.row == row
 
 
-def test_recurrence_matches_arccos_formula():
+# chebvander's float64 recurrence drifts by up to 1.6e-12 from T_k near
+# +-1 at degree 514, so the high degrees take it in extended precision.
+@pytest.mark.parametrize("degree, dtype", [
+    (130, np.float64),
+    pytest.param(514, np.longdouble, marks=pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="long double is no wider than float64 here")),
+])
+def test_cheb_table_matches_chebvander(degree, dtype):
+    rng = np.random.default_rng(33)
+    x = np.concatenate([
+        rng.uniform(-1.0, 1.0, 2000), [1.0, -1.0, 0.0, -0.0],
+        1.0 - rng.uniform(0.0, 1e-6, 200), rng.uniform(0.0, 1e-6, 200) - 1.0,
+    ]).reshape(-1, 2)
+    table = interp._cheb_table(x, (degree, degree - 1))
+    assert table.shape == (x.shape[0], 2, degree + 1)
+    for j in range(2):
+        want = chebvander(x[:, j].astype(dtype), degree)
+        assert np.abs(table[:, j] - want).max() <= 1e-12
+    # T_k(1) = 1 and T_k(-1) = (-1)^k exactly.
+    corners = interp._cheb_table(np.array([[1.0, -1.0]]), (degree,))[0]
+    assert np.array_equal(corners[0], np.ones(degree + 1))
+    assert np.array_equal(corners[1], (-1.0) ** np.arange(degree + 1))
+
+
+def test_expansion_eval_matches_cheb_T_eval():
     rng = np.random.default_rng(21)
     spec = NodeSpec(n=N53, kappa=(0, 1))
     gs = build_gamma(spec)

@@ -19,7 +19,6 @@ from lisscheb.nodes import (
     build_node_set,
     cgl_point,
     class_map_shifted,
-    check_point,
     check_points,
     class_map_standard,
     variety_membership,
@@ -223,9 +222,9 @@ def test_variety_membership_rejects_bad_points(x, match):
 
 @pytest.mark.parametrize("x, match", BAD_POINTS)
 def test_check_points_names_the_bad_row(x, match):
-    # check_point is the one-row case: same message, and row 0.
+    # One point is the one-row case: same message, and row 0.
     with pytest.raises(DomainViolation, match=match) as one:
-        check_point(x, 2)
+        check_points([x], 2)
     assert one.value.row == 0
     good = [(0.5, -0.25), (1.0, -1.0)]
     with pytest.raises(DomainViolation) as batch:
@@ -240,7 +239,9 @@ def test_check_points_clamps_the_slack():
     assert got.dtype == np.float64
     assert np.array_equal(got, [[1.0, -1.0], [0.25, 0.0]])
     assert x[0, 0] > 1.0  # the input is not modified
-    assert check_point(x[0], 2) == [1.0, -1.0]
+    one = check_points([x[0]], 2)
+    assert one.dtype == np.float64
+    assert np.array_equal(one, [[1.0, -1.0]])
     assert check_points([], 2).shape == (0, 2)
 
 
