@@ -182,72 +182,83 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_samples(spec: NodeSpec, path: str) -> transform.SampleVector:
-    """The samples of a data file: a header row, then d index cells and a
-    value per row, parsed by one np.loadtxt call.  When that fails, skips a
-    blank line or repeats a row, _raise_bad_line names the bad line.
+def _read_table(path: str, ints: int, width: int):
+    """The rows of a CSV file under a header row, and the body lines.
+
+    Each row holds ``width`` cells: ``ints`` integer indices (field "i" of
+    the structured array) and then floats (field "v").  One np.loadtxt call
+    parses the body.  A body with an underscore or a non-ASCII character,
+    which that parser may strip or misread, a body it rejects and one with
+    blank lines, which it skips, go to _raise_bad_line to name the bad line.
     """
-    d = spec.dim
     with open(path) as handle:
         if not handle.readline():
             raise LisschebError(f"empty data file {path}")
-        lines = handle.read().split("\n")
+        text = handle.read()
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
+    dtype = [("i", np.int64, (ints,)), ("v", np.float64, (width - ints,))]
     if not lines:
-        return transform.SampleVector(spec=spec, values={})
+        return np.zeros(0, dtype), lines
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError("an underscore or a non-ASCII character")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
-                               dtype=[("i", np.int64, (d,)), ("v", np.float64)])
+                               dtype=dtype)
     except (ValueError, Warning) as exc:
         why = str(exc)
     else:
-        values = dict(zip(int_tuples(table["i"]), table["v"].tolist()))
-        if len(values) == len(lines):
-            return transform.SampleVector(spec=spec, values=values)
-        why = "blank or repeated rows"
-    _raise_bad_line(path, lines, d, why)
+        if len(table) == len(lines):
+            return table, lines
+        why = "blank lines"
+    _raise_bad_line(path, lines, ints, width, why)
 
 
-def _raise_bad_line(path: str, lines: List[str], d: int, why: str) -> NoReturn:
-    """Raise the error of the first bad data line (line 1 is the header).
+def _read_samples(spec: NodeSpec, path: str) -> transform.SampleVector:
+    """The samples of a data file: d index cells and a value per row."""
+    d = spec.dim
+    table, lines = _read_table(path, d, d + 1)
+    values = dict(zip(int_tuples(table["i"]), table["v"][:, 0].tolist()))
+    if len(values) < len(lines):
+        _raise_bad_line(path, lines, d, d + 1, "repeated rows")
+    return transform.SampleVector(spec=spec, values=values)
 
-    As for np.loadtxt, the blank-stripped cells must pass int() and float()
-    and _check_cells, and indices fit int64.
+
+def _raise_bad_line(path: str, lines: List[str], ints: int, width: int,
+                    why: str) -> NoReturn:
+    """Raise the error of the first bad line of a table (line 1 is the header).
+
+    As for np.loadtxt, a line must have ``width`` cells, the first ``ints``
+    must pass int() and fit int64 and the others float(); in data files no
+    index repeats.  int() and float() read "1_5" as 15, take non-ASCII
+    digits such as "٣" and strip non-ASCII blanks such as a no-break space,
+    so a cell as written must also be ASCII without an underscore.
     """
+    what = (f"{ints} index columns plus a value" if ints
+            else f"{width} coordinates")
     seen = set()
     for num, line in enumerate(lines, 2):
-        cells = [cell.strip() for cell in line.split(",")] if line else []
+        cells = line.split(",") if line else []
         try:
-            if len(cells) != d + 1:
-                raise ValueError(
-                    f"expected {d} index columns plus a value, got {len(cells)}"
-                )
-            idx = tuple(map(int, cells[:d]))
-            float(cells[d])
-            _check_cells(cells)
+            if len(cells) != width:
+                raise ValueError(f"expected {what}, got {len(cells)}")
+            idx = tuple(map(int, cells[:ints]))
+            list(map(float, cells[ints:]))
+            for cell in cells:
+                if "_" in cell or not cell.isascii():
+                    raise ValueError(f"cell {cell!r} has an underscore or a "
+                                     "non-ASCII character")
             if not all(-2**63 <= i < 2**63 for i in idx):
                 raise ValueError(f"index {idx} is outside the int64 range")
-            if idx in seen:
+            if ints and idx in seen:
                 raise ValueError(f"repeated index {idx}")
         except ValueError as exc:
             raise LisschebError(f"{path}, line {num}: {exc}") from None
         seen.add(idx)
     raise LisschebError(f"{path}: {why}")
-
-
-def _check_cells(cells: Sequence[str]) -> None:
-    """Reject a cell with an underscore or a non-ASCII character.
-
-    int() and float() read "1_5" as 15 and take non-ASCII digits such as
-    "٣"; np.loadtxt does not, so no data file accepts them.
-    """
-    for cell in cells:
-        if "_" in cell or not cell.isascii():
-            raise ValueError(f"cell {cell!r} has an underscore or a "
-                             "non-ASCII character")
 
 
 def _write_expansion(path: Optional[str], spec: NodeSpec, expansion) -> None:
@@ -325,39 +336,20 @@ def _load_expansion(path: str):
         ) from None
 
 
-def _read_points(path: str) -> Tuple[List[List[float]], List[int]]:
-    """The coordinate rows of a points file and the line of each row.
-
-    Each cell must pass float() and _check_cells, as in sample data files.
-    """
-    rows, lines = [], []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader, None)
-        for row in reader:
-            try:
-                _check_cells(row)
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise LisschebError(
-                    f"{path}, line {reader.line_num}: {exc}"
-                ) from None
-            lines.append(reader.line_num)
-    return rows, lines
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     spec, expansion = _load_expansion(args.expansion)
-    rows, lines = _read_points(args.points)
+    points = _read_table(args.points, 0, spec.dim)[0]["v"]
     try:
-        values = interp.expansion_eval(expansion, rows).tolist() if rows else []
+        values = interp.expansion_eval(expansion, points)
     except DomainViolation as exc:
+        # Row k sits on line k + 2: the header is line 1, and no line is blank.
         raise LisschebError(
-            f"{args.points}, line {lines[exc.row]}: {exc}"
+            f"{args.points}, line {exc.row + 2}: {exc}"
         ) from None
     header = [f"x_{j + 1}" for j in range(spec.dim)] + ["value"]
     _write_csv(args.out, header, (
-        [_fmt(c) for c in x] + [_fmt(v)] for x, v in zip(rows, values)
+        [_fmt(c) for c in x] + [_fmt(v)]
+        for x, v in zip(points.tolist(), values.tolist())
     ))
     return EXIT_OK
 

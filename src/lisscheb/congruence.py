@@ -99,28 +99,13 @@ def validate_pairwise_coprime(entries: Iterable[int]) -> DimensionVector:
     return DimensionVector(entries=entries, product=product, coproducts=coproducts)
 
 
-def extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def crt_solve(congruences: Sequence[Tuple[int, int]]) -> int:
     """Solve a system of simultaneous congruences l = a_i mod k_i.
 
     The moduli need not be pairwise coprime; the compatibility condition
     a_i = a_j mod gcd(k_i, k_j) is checked for every pair first and
     IncompatibleCongruences raised when it fails.  Solutions are merged
-    pairwise with Bezout coefficients, so the result is the unique l in
+    pairwise with modular inverses, so the result is the unique l in
     [0, lcm(k_1..k_d)).  A residue or modulus that is not an integer
     raises InvalidParameter.
     """
@@ -142,10 +127,10 @@ def crt_solve(congruences: Sequence[Tuple[int, int]]) -> int:
     a %= k
     for i in range(1, d):
         b, m = pairs[i]
-        g, p, _ = extended_gcd(k, m)
+        g = math.gcd(k, m)
         lcm = k // g * m
         # l = a + k*t with k*t = (b - a) mod m; solvable since g | (b - a).
-        t = ((b - a) // g * p) % (m // g)
+        t = (b - a) // g * pow(k // g, -1, m // g) % (m // g)
         a = (a + k * t) % lcm
         k = lcm
     return a

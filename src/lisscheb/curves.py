@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .congruence import DimensionVector, crt_solve, integer_tuple
 from .errors import IndexOutOfRange, InvalidParameter, InvalidRange, ZeroEntry
@@ -242,8 +242,13 @@ def sample_curve(
     """
     (num_samples,) = integer_tuple((num_samples,), "sample count")
     t0, t1 = t_range
-    # Bounds |t1 - t0| and every frequency times t; a NaN end gives NaN.
-    if not math.isfinite(max(curve.n.coproducts) * (abs(t0) + abs(t1))):
+    # Bounds |t1 - t0| and every frequency times t; a NaN end gives NaN,
+    # and an int end beyond the float range overflows.
+    try:
+        finite = math.isfinite(max(curve.n.coproducts) * (abs(t0) + abs(t1)))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise InvalidRange(f"parameter range [{t0}, {t1}] is not finite "
                            "at the curve's frequencies")
     if t1 < t0:

@@ -12,7 +12,7 @@ weight determined by how many components are strictly interior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -196,49 +196,32 @@ def check_box_size(corner: Sequence[int]) -> None:
         )
 
 
-def _index_grid(axis_values: Sequence[np.ndarray]) -> np.ndarray:
-    """Cartesian product of per-axis index values, as an (N, d) array."""
-    mesh = np.meshgrid(*axis_values, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
 def build_node_set(spec: NodeSpec) -> NodeSet:
-    """Enumerate the node family of a spec with points, weights and parities."""
+    """Enumerate the node family of a spec with points, weights and parities.
+
+    The nodes are the indices i of the box [0, m] whose entries i_j - kappa_j
+    all share one parity: the cells where the per-axis parity vectors,
+    broadcast over the box, all equal that of axis 0.  np.argwhere lists
+    them in lexicographic order.
+    """
     check_box_size(spec.m)
-    d = spec.dim
     m = spec.m
-    kappa = spec.kappa if spec.is_shifted else (0,) * d
-
-    blocks = []
-    parity_blocks = []
-    for r in (0, 1):
-        axes = [
-            np.arange((kappa[j] + r) % 2, m[j] + 1, 2, dtype=np.int64)
-            for j in range(d)
-        ]
-        if any(a.size == 0 for a in axes):
-            continue
-        block = _index_grid(axes)
-        blocks.append(block)
-        parity_blocks.append(np.full(block.shape[0], r, dtype=np.uint8))
-    indices = np.concatenate(blocks, axis=0)
-    parities = np.concatenate(parity_blocks, axis=0)
-
-    # Lexicographic order over the merged parity classes.
-    order = np.lexsort(tuple(indices[:, j] for j in range(d - 1, -1, -1)))
-    indices = indices[order]
-    parities = parities[order]
+    kappa = spec.kappa if spec.is_shifted else (0,) * spec.dim
+    parity = np.ix_(*[(np.arange(mj + 1) + k) % 2 for mj, k in zip(m, kappa)])
+    mask = np.ones([mj + 1 for mj in m], dtype=bool)
+    for axis in parity[1:]:
+        mask &= axis == parity[0]
+    indices = np.argwhere(mask)
+    parities = ((indices[:, 0] + kappa[0]) % 2).astype(np.uint8)
 
     tables = chi_tables(spec)
     points = np.column_stack(
-        [tables[j][indices[:, j]] for j in range(d)]
+        [tables[j][indices[:, j]] for j in range(spec.dim)]
     )
 
-    interior = np.zeros(indices.shape[0], dtype=np.int64)
-    for j in range(d):
-        interior += (indices[:, j] > 0) & (indices[:, j] < m[j])
+    interior = ((indices > 0) & (indices < np.array(m))).sum(axis=1)
     if spec.is_shifted:
-        denom = 2 ** (d + 1) * spec.n.product
+        denom = 2 ** (spec.dim + 1) * spec.n.product
     else:
         denom = 2 * spec.n.product
     weights = np.exp2(interior.astype(np.float64)) / denom

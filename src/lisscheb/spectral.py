@@ -18,7 +18,7 @@ import numpy as np
 
 from .congruence import integer_tuple
 from .errors import NotInGammaSet
-from .nodes import NodeSpec, _index_grid, check_box_size, int_tuples
+from .nodes import NodeSpec, check_box_size, int_tuples
 
 SpectralIndex = Tuple[int, ...]
 
@@ -77,20 +77,19 @@ class GammaSet:
         return out
 
 
-def _graded_lex_order(elements: np.ndarray) -> np.ndarray:
-    degrees = elements.sum(axis=1)
-    keys = tuple(elements[:, j] for j in range(elements.shape[1] - 1, -1, -1))
-    return np.lexsort(keys + (degrees,))
+def _pairwise_keep(spec: NodeSpec, cols) -> np.ndarray:
+    """Where tuples meet the pairwise bounds, given one column per axis.
 
-
-def _pairwise_keep(spec: NodeSpec, cand: np.ndarray) -> np.ndarray:
-    """Which rows of an (N, d) array of in-box tuples meet the pairwise bounds."""
+    The d columns broadcast against each other: the rows of an (M, d)
+    array transposed give M flags, and np.ix_ ranges give a box of flags,
+    each pair comparing one m_i x m_j slice.
+    """
     n = spec.n.entries
     d = spec.dim
-    keep = np.ones(cand.shape[0], dtype=bool)
+    keep = np.ones(np.broadcast_shapes(*[c.shape for c in cols]), dtype=bool)
     for i in range(d):
         for j in range(i + 1, d):
-            lhs = cand[:, i] * n[j] + cand[:, j] * n[i]
+            lhs = cols[i] * n[j] + cols[j] * n[i]
             if not spec.is_shifted:
                 keep &= lhs < n[i] * n[j]
             elif (spec.kappa[i] - spec.kappa[j]) % 2 == 1:
@@ -118,14 +117,22 @@ def _norm_terms(spec: NodeSpec, elements: np.ndarray):
 
 
 def build_gamma(spec: NodeSpec) -> GammaSet:
-    """Enumerate the spectral set of a spec in graded lexicographic order."""
-    check_box_size(spec.m)
-    cand = _index_grid([np.arange(mj, dtype=np.int64) for mj in spec.m])
-    cand = cand[_pairwise_keep(spec, cand)]
+    """Enumerate the spectral set of a spec in graded lexicographic order.
 
-    special = np.array([_special(spec)], dtype=np.int64)
-    elements = np.concatenate([cand, special], axis=0)
-    elements = elements[_graded_lex_order(elements)]
+    The pairwise bounds are evaluated on np.ix_ ranges over the box [0, m)
+    with the last axis widened to take m_d.  There m_d/n_d is 1 (2 when
+    shifted), so the bounds hold at most where every other entry is 0: at
+    the special element (0, ..., 0, m_d), which is set.  np.argwhere lists
+    the kept cells in lexicographic order; a stable sort by degree grades
+    them.
+    """
+    check_box_size(spec.m)
+    special = _special(spec)
+    widths = spec.m[:-1] + (spec.m[-1] + 1,)
+    keep = _pairwise_keep(spec, np.ix_(*map(np.arange, widths)))
+    keep[special] = True
+    elements = np.argwhere(keep)
+    elements = elements[np.argsort(elements.sum(axis=1), kind="stable")]
 
     special_pos = int(np.nonzero((elements == special).all(axis=1))[0][0])
     e_counts, norm = _norm_terms(spec, elements)
@@ -139,7 +146,7 @@ def contains_rows(spec: NodeSpec, gammas: np.ndarray) -> np.ndarray:
     meets the pairwise bounds, or when it is the special element.
     """
     in_box = ((gammas >= 0) & (gammas < np.array(spec.m))).all(axis=1)
-    keep = in_box & _pairwise_keep(spec, gammas)
+    keep = in_box & _pairwise_keep(spec, gammas.T)
     return keep | (gammas == _special(spec)).all(axis=1)
 
 

@@ -24,8 +24,17 @@ def _coprime_vectors(limit, max_dim):
     return out
 
 
+# Vectors of up to five entries whose shifted node box, prod(2 n_j + 1)
+# cells, holds at most 4,096; that box bounds N for both variants.  Every
+# vector of up to three entries with prod(n) <= 200 fits.
+_SMALL_N = [
+    n for n in _coprime_vectors(200, 5)
+    if math.prod(2 * e + 1 for e in n) <= 4096
+]
+
+
 @st.composite
 def small_specs(draw):
-    n = draw(st.sampled_from(_coprime_vectors(200, 3)))
+    n = draw(st.sampled_from(_SMALL_N))
     kappa = draw(st.none() | st.tuples(*[st.integers(0, 1) for _ in n]))
     return NodeSpec(n=validate_pairwise_coprime(n), kappa=kappa)

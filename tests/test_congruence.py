@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from lisscheb.congruence import (
     crt_solve,
-    extended_gcd,
     validate_pairwise_coprime,
 )
 from lisscheb.errors import (
@@ -64,13 +63,6 @@ def test_numpy_integer_entries_accepted():
 def test_overflow_guard():
     with pytest.raises(OverflowDimension):
         validate_pairwise_coprime((2**31, 2**31 - 1))
-
-
-def test_extended_gcd_bezout():
-    for a, b in [(12, 18), (35, 64), (0, 5), (7, 0), (1, 1)]:
-        g, x, y = extended_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
 
 
 def test_crt_zero_residues():

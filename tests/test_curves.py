@@ -264,6 +264,8 @@ def test_sample_curve_errors():
     (-math.inf, math.inf),
     # Finite ends that overflow: t1 - t0, and 5 t (5 is a frequency).
     (-1e308, 1e308), (1e308, 1e308),
+    # Python ints beyond the float range, and one that overflows at 5 t.
+    (0, 10**400), (-(10**400), 0.0), (0, 10**308),
 ])
 def test_sample_curve_rejects_non_finite_range(t_range):
     c = LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 1))

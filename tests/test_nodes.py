@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import small_specs
 
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.curves import LCCurve, lc_eval_at_index
@@ -340,3 +342,20 @@ def test_lookup_keys_are_python_ints(spec):
     for key in ns.lookup:
         assert type(key) is tuple and len(key) == spec.dim
         assert all(type(v) is int for v in key)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(spec=small_specs())
+def test_node_set_matches_definition(spec):
+    # The indices i of the box [0, m] whose entries i_j - kappa_j all share
+    # one parity, in lexicographic order; the parity is that shared bit.
+    kappa = spec.kappa or (0,) * spec.dim
+    box = itertools.product(*(range(mj + 1) for mj in spec.m))
+    want = [
+        list(i) for i in box
+        if len({(ij - kj) % 2 for ij, kj in zip(i, kappa)}) == 1
+    ]
+    ns = build_node_set(spec)
+    assert len(ns) == len(want)
+    assert ns.indices.tolist() == want
+    assert ns.parities.tolist() == [(i[0] - kappa[0]) % 2 for i in want]

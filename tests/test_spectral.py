@@ -1,7 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import small_specs
 
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import InvalidParameter, NotInGammaSet
@@ -221,3 +224,31 @@ def test_gamma_tuples_are_python_ints(spec):
     for key in list(gs) + [gs.special]:
         assert type(key) is tuple and len(key) == spec.dim
         assert all(type(v) is int for v in key)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(spec=small_specs())
+def test_gamma_set_matches_definition(spec):
+    # gamma in the box [0, m) with gamma_i/n_i + gamma_j/n_j < 1 for every
+    # pair (standard), or <= 2, strict where kappa_i and kappa_j differ in
+    # parity (shifted); plus the special (0, ..., 0, m_d); in graded
+    # lexicographic order.  As many elements as nodes.
+    n = spec.n.entries
+
+    def within(g, i, j):
+        total = Fraction(g[i], n[i]) + Fraction(g[j], n[j])
+        if spec.kappa is None:
+            return total < 1
+        if (spec.kappa[i] - spec.kappa[j]) % 2:
+            return total < 2
+        return total <= 2
+
+    pairs = list(itertools.combinations(range(spec.dim), 2))
+    box = itertools.product(*(range(mj) for mj in spec.m))
+    want = [g for g in box if all(within(g, i, j) for i, j in pairs)]
+    want.append((0,) * (spec.dim - 1) + (spec.m[-1],))
+    want.sort(key=lambda g: (sum(g), g))
+    gs = build_gamma(spec)
+    assert len(gs) == len(want) == len(build_node_set(spec))
+    assert list(gs) == want
+    assert gs.special == want[gs.special_pos]
