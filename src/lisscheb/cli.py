@@ -185,15 +185,22 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 def _read_table(path: str, ints: int, width: int):
     """The rows of a CSV file under a header row, and the body lines.
 
-    Each row holds ``width`` cells: ``ints`` integer indices (field "i" of
-    the structured array) and then floats (field "v").  One np.loadtxt call
-    parses the body.  A body with an underscore or a non-ASCII character,
-    which that parser may strip or misread, a body it rejects and one with
-    blank lines, which it skips, go to _raise_bad_line to name the bad line.
+    The header names the columns, i_1,...,value or x_1,...  Each row holds
+    ``width`` cells: ``ints`` integer indices (field "i" of the structured
+    array) and then floats (field "v").  One np.loadtxt call parses the
+    body.  A body with an underscore or a non-ASCII character, which that
+    parser may strip or misread, a body it rejects and one with blank
+    lines, which it skips, go to _raise_bad_line to name the bad line.
     """
+    names = ([f"i_{j + 1}" for j in range(ints)] + ["value"] if ints
+             else [f"x_{j + 1}" for j in range(width)])
     with open(path) as handle:
-        if not handle.readline():
+        header = handle.readline()
+        if not header:
             raise LisschebError(f"empty data file {path}")
+        if [cell.strip() for cell in header.split(",")] != names:
+            raise LisschebError(f"{path}, line 1: expected the header "
+                                f"{','.join(names)}, got {header.strip()!r}")
         text = handle.read()
     lines = text.split("\n")
     if lines[-1] == "":
@@ -295,8 +302,8 @@ def cmd_interp(args: argparse.Namespace) -> int:
 def _load_expansion(path: str):
     """The spec and expansion of an expansion file.
 
-    The ChebExpansion constructor checks the entries; its errors come back
-    naming the file and the entry.
+    The entries go through the ChebExpansion constructor's reader of a
+    mapping; its errors come back naming the file and the entry.
     """
     with open(path) as handle:
         try:
@@ -311,29 +318,24 @@ def _load_expansion(path: str):
             raise LisschebError(
                 f"{path}: variant {variant!r} disagrees with kappa {kappa}"
             )
-        spec = NodeSpec(n=n, kappa=tuple(kappa) if kappa is not None else None)
+        spec = NodeSpec(n=n, kappa=kappa)
         entries = payload["coefficients"]
-        gammas = [tuple(entry["gamma"]) for entry in entries]
-        coeffs = dict(zip(gammas, [entry["value"] for entry in entries]))
+        gammas = [entry["gamma"] for entry in entries]
+        values = [entry["value"] for entry in entries]
     except KeyError as exc:
         raise LisschebError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise LisschebError(f"{path}: malformed expansion: {exc}") from None
-    if len(coeffs) < len(gammas):
-        seen = set()
-        for row, gamma in enumerate(gammas, 1):
-            if gamma in seen:
-                raise LisschebError(
-                    f"{path}, coefficient entry {row}: repeated gamma {gamma}"
-                )
-            seen.add(gamma)
     gs = build_gamma(spec)
     try:
-        return spec, transform.ChebExpansion(gamma_set=gs, coeffs=coeffs)
+        coeffs = transform.coefficient_rows(gs, gammas, values)
+    except TypeError as exc:  # a list among a gamma's entries
+        raise LisschebError(f"{path}: malformed expansion: {exc}") from None
     except LisschebError as exc:
         raise LisschebError(
             f"{path}, coefficient entry {exc.row + 1}: {exc}"
         ) from None
+    return spec, transform.ChebExpansion(gamma_set=gs, coeffs=coeffs)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

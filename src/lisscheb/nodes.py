@@ -50,7 +50,8 @@ class NodeSpec:
     def __post_init__(self):
         if self.kappa is None:
             return
-        integer_tuple(self.kappa, "kappa")
+        # Kept as a tuple of ints, so that specs hash: they key build_gamma.
+        object.__setattr__(self, "kappa", integer_tuple(self.kappa, "kappa"))
         if len(self.kappa) != self.n.dim:
             raise InvalidParameter("kappa must match the dimension of n")
 

@@ -12,6 +12,9 @@ blur it.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -22,7 +25,16 @@ from .nodes import NodeSpec, check_box_size, int_tuples
 
 SpectralIndex = Tuple[int, ...]
 
+# Most bytes of GammaSet arrays that build_gamma keeps; (513, 512)'s set
+# takes 4.2 MB, and a 2-D set near MAX_BOX_CELLS 270 MB, so count bytes.
+GAMMA_CACHE_BYTES = 64 << 20
+# (set, bytes) by spec, least recently used first, and the bytes in all.
+_cache: "OrderedDict[NodeSpec, Tuple[GammaSet, int]]" = OrderedDict()
+_cache_bytes = 0
+_cache_lock = threading.Lock()
 
+
+@dataclass(frozen=True, eq=False)
 class GammaSet:
     """The ordered spectral basis of a spec.
 
@@ -30,22 +42,15 @@ class GammaSet:
     ``norm_sq`` the parallel vector of squared discrete norms; ``special``
     the unique corner element (0, ..., 0, m_d).  ``e_counts`` holds the
     number of nonzero entries of each element, which sets the continuous
-    norm 2^(-e) of T_gamma.
+    norm 2^(-e) of T_gamma.  The fields are frozen: build_gamma shares a
+    set among its callers, and makes its arrays read-only.
     """
 
-    def __init__(
-        self,
-        spec: NodeSpec,
-        elements: np.ndarray,
-        norm_sq: np.ndarray,
-        e_counts: np.ndarray,
-        special_pos: int,
-    ):
-        self.spec = spec
-        self.elements = elements
-        self.norm_sq = norm_sq
-        self.e_counts = e_counts
-        self.special_pos = special_pos
+    spec: NodeSpec
+    elements: np.ndarray
+    norm_sq: np.ndarray
+    e_counts: np.ndarray
+    special_pos: int
 
     def __len__(self) -> int:
         return self.elements.shape[0]
@@ -78,11 +83,10 @@ class GammaSet:
 
 
 def _pairwise_keep(spec: NodeSpec, cols) -> np.ndarray:
-    """Where tuples meet the pairwise bounds, given one column per axis.
+    """Where the cells of a box meet the pairwise bounds.
 
-    The d columns broadcast against each other: the rows of an (M, d)
-    array transposed give M flags, and np.ix_ ranges give a box of flags,
-    each pair comparing one m_i x m_j slice.
+    cols are np.ix_ ranges, one per axis, so each pair compares one
+    m_i x m_j slice.
     """
     n = spec.n.entries
     d = spec.dim
@@ -99,24 +103,33 @@ def _pairwise_keep(spec: NodeSpec, cols) -> np.ndarray:
     return keep
 
 
-def _special(spec: NodeSpec) -> SpectralIndex:
-    return (0,) * (spec.dim - 1) + (spec.m[-1],)
-
-
-def _norm_terms(spec: NodeSpec, elements: np.ndarray):
-    """Support counts e and squared norms 2^(f - e), 1 for the special row."""
-    e_counts = (elements > 0).sum(axis=1).astype(np.int64)
-    if spec.is_shifted:
-        at_n = (elements == np.array(spec.n.entries, dtype=np.int64)).sum(axis=1)
-        f_counts = np.maximum(at_n - 1, 0).astype(np.int64)
-    else:
-        f_counts = np.zeros(elements.shape[0], dtype=np.int64)
-    norm = np.exp2((f_counts - e_counts).astype(np.float64))
-    norm[(elements == _special(spec)).all(axis=1)] = 1.0
-    return e_counts, norm
-
-
 def build_gamma(spec: NodeSpec) -> GammaSet:
+    """The spectral set of a spec, enumerated once and then reused.
+
+    Equal specs get the same GammaSet while it is kept.  Sets are kept up
+    to GAMMA_CACHE_BYTES of arrays in all, least recently used dropped
+    first; a larger set is returned but not kept.
+    """
+    global _cache_bytes
+    # Built under the lock: a second caller waits rather than builds again.
+    with _cache_lock:
+        if spec in _cache:
+            _cache.move_to_end(spec)
+            return _cache[spec][0]
+        gs = _enumerate_gamma(spec)
+        arrays = (gs.elements, gs.norm_sq, gs.e_counts)
+        for array in arrays:
+            array.setflags(write=False)
+        size = sum(array.nbytes for array in arrays)
+        if size <= GAMMA_CACHE_BYTES:
+            _cache[spec] = gs, size
+            _cache_bytes += size
+            while _cache_bytes > GAMMA_CACHE_BYTES:
+                _cache_bytes -= _cache.popitem(last=False)[1][1]
+        return gs
+
+
+def _enumerate_gamma(spec: NodeSpec) -> GammaSet:
     """Enumerate the spectral set of a spec in graded lexicographic order.
 
     The pairwise bounds are evaluated on np.ix_ ranges over the box [0, m)
@@ -127,7 +140,7 @@ def build_gamma(spec: NodeSpec) -> GammaSet:
     them.
     """
     check_box_size(spec.m)
-    special = _special(spec)
+    special = (0,) * (spec.dim - 1) + (spec.m[-1],)
     widths = spec.m[:-1] + (spec.m[-1] + 1,)
     keep = _pairwise_keep(spec, np.ix_(*map(np.arange, widths)))
     keep[special] = True
@@ -135,19 +148,16 @@ def build_gamma(spec: NodeSpec) -> GammaSet:
     elements = elements[np.argsort(elements.sum(axis=1), kind="stable")]
 
     special_pos = int(np.nonzero((elements == special).all(axis=1))[0][0])
-    e_counts, norm = _norm_terms(spec, elements)
+    # Support counts e and squared norms 2^(f - e), 1 for the special row.
+    e_counts = (elements > 0).sum(axis=1).astype(np.int64)
+    if spec.is_shifted:
+        at_n = (elements == np.array(spec.n.entries, dtype=np.int64)).sum(axis=1)
+        f_counts = np.maximum(at_n - 1, 0).astype(np.int64)
+    else:
+        f_counts = np.zeros(elements.shape[0], dtype=np.int64)
+    norm = np.exp2((f_counts - e_counts).astype(np.float64))
+    norm[special_pos] = 1.0
     return GammaSet(spec, elements, norm, e_counts, special_pos)
-
-
-def contains_rows(spec: NodeSpec, gammas: np.ndarray) -> np.ndarray:
-    """Which rows of an (M, d) integer array lie in the spectral set.
-
-    The set is not built: a row is a member when it lies in the box and
-    meets the pairwise bounds, or when it is the special element.
-    """
-    in_box = ((gammas >= 0) & (gammas < np.array(spec.m))).all(axis=1)
-    keep = in_box & _pairwise_keep(spec, gammas.T)
-    return keep | (gammas == _special(spec)).all(axis=1)
 
 
 def involution(m: Tuple[int, ...], gamma: SpectralIndex) -> SpectralIndex:
@@ -171,16 +181,12 @@ def involution(m: Tuple[int, ...], gamma: SpectralIndex) -> SpectralIndex:
 def norm_sq(spec: NodeSpec, gamma: SpectralIndex) -> float:
     """Squared discrete norm of the basis function indexed by gamma.
 
-    Raises InvalidParameter for an entry that is not an integer.
+    Raises InvalidParameter for an entry that is not an integer and
+    NotInGammaSet for a gamma outside the spectral set.
     """
     gamma = integer_tuple(gamma, "gamma")
-    # An entry outside [0, m_j] is outside the set, and ints beyond int64
-    # would not fit the row.
-    if (
-        len(gamma) != spec.dim
-        or not all(0 <= g <= mj for g, mj in zip(gamma, spec.m))
-        or not contains_rows(spec, np.array([gamma], dtype=np.int64))[0]
-    ):
+    gs = build_gamma(spec)
+    row = np.array([gamma], dtype=object)
+    if len(gamma) != spec.dim or (pos := gs.positions(row)[0]) < 0:
         raise NotInGammaSet(f"{gamma} not in the spectral set")
-    _, norm = _norm_terms(spec, np.array([gamma], dtype=np.int64))
-    return float(norm[0])
+    return float(gs.norm_sq[pos])

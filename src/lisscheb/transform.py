@@ -88,33 +88,54 @@ def _coefficient_array(gamma_set: GammaSet, given) -> np.ndarray:
                 f"coefficient array has shape {shape}, expected ({n},)"
             )
         return _number_vector(given, gamma_set, "coefficient", "gamma")
+    return coefficient_rows(gamma_set, list(given), list(given.values()))
+
+
+def coefficient_rows(gamma_set: GammaSet, gammas, values) -> np.ndarray:
+    """The coefficients in gamma-set order from lists of gammas and values.
+
+    Each gamma, a tuple or list of d integers, comes at most once; one not
+    listed stands for 0.  Errors are those of ChebExpansion for a mapping,
+    with the list position as ``row``; a list inside a gamma is TypeError.
+    """
     d = gamma_set.spec.dim
-    # Tuples of d plain ints pass in bulk; the loop only names the culprit.
+    # Rows of d plain ints pass in bulk; _check_rows only names the culprit.
     if (
-        set(map(type, given)) - {tuple}
-        or set(map(len, given)) - {d}
-        or set(map(type, chain.from_iterable(given))) - {int}
+        set(map(type, gammas)) - {tuple, list}
+        or set(map(len, gammas)) - {d}
+        or set(map(type, chain.from_iterable(gammas))) - {int}
     ):
-        for row, gamma in enumerate(given):
-            try:
-                if not isinstance(gamma, tuple) or len(gamma) != d:
-                    raise InvalidParameter(
-                        f"gamma {gamma!r} is not a tuple of {d} integers"
-                    )
-                integer_tuple(gamma, "gamma")
-            except InvalidParameter as exc:
-                exc.row = row
-                raise
-    rows = np.fromiter(chain.from_iterable(given), object, len(given) * d)
+        _check_rows(gammas, d)
+    rows = np.fromiter(chain.from_iterable(gammas), object, len(gammas) * d)
     pos = gamma_set.positions(rows.reshape(-1, d))
     if (pos < 0).any():
         row = int(np.argmin(pos))
-        gamma = next(islice(given, row, None))
+        gamma = tuple(gammas[row])
         raise NotInGammaSet(f"gamma {gamma} is not in the spectral set", row)
-    vals = _number_vector(list(given.values()), given, "coefficient", "gamma")
-    out = np.zeros(n, dtype=vals.dtype)
+    if np.bincount(pos, minlength=len(gamma_set)).max(initial=0) > 1:
+        _check_rows(gammas, d)  # equal positions come from equal rows
+    vals = _number_vector(values, gammas, "coefficient", "gamma")
+    out = np.zeros(len(gamma_set), dtype=vals.dtype)
     out[pos] = vals
     return out
+
+
+def _check_rows(gammas, d: int) -> None:
+    """Raise the error of the first gamma not of d integers or repeated."""
+    seen = set()
+    for row, gamma in enumerate(gammas):
+        key = tuple(gamma) if isinstance(gamma, (tuple, list)) else gamma
+        try:
+            if type(key) is not tuple or len(key) != d:
+                raise InvalidParameter(
+                    f"gamma {key!r} is not a tuple of {d} integers"
+                )
+            if key in seen:
+                raise InvalidParameter(f"repeated gamma {key}")
+            seen.add(integer_tuple(key, "gamma"))
+        except InvalidParameter as exc:
+            exc.row = row
+            raise
 
 
 def _number_vector(values, keys, what: str, where: str) -> np.ndarray:
@@ -130,7 +151,7 @@ def _number_vector(values, keys, what: str, where: str) -> np.ndarray:
         vals = np.array(None)
     kind = vals.dtype.kind
     if vals.ndim != 1 or kind not in "biufc":
-        for row, (key, val) in enumerate(zip(keys, values)):
+        for row, (key, val) in enumerate(zip(map(tuple, keys), values)):
             if not isinstance(val, numbers.Number):
                 raise InvalidParameter(
                     f"{what} {val!r} at {where} {key} is not a number", row
@@ -148,7 +169,7 @@ def _number_vector(values, keys, what: str, where: str) -> np.ndarray:
     finite = np.isfinite(vals)
     if not finite.all():
         row = int(np.argmin(finite))
-        key = next(islice(keys, row, None))
+        key = tuple(next(islice(keys, row, None)))
         raise DomainViolation(
             f"{what} {vals[row]} at {where} {key} is not finite", row
         )

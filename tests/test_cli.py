@@ -263,6 +263,40 @@ def test_eval_header_only_points_file(tmp_path):
     assert out.read_text() == "x_1,x_2,value\n"
 
 
+@pytest.mark.parametrize("header", [
+    "0.1,0.2",  # no header: the first point would be dropped
+    "x_1,y_2", "x_1", "x_1,x_2,x_3", "i_1,i_2", "x1,x2", "x_2,x_1",
+])
+def test_eval_points_file_without_its_header_exit_1(tmp_path, capsys, header):
+    expansion = _expansion_file(tmp_path, NodeSpec(n=N53))
+    points = tmp_path / "points.csv"
+    points.write_text(header + "\n0.3,0.4\n")
+    code = run(["eval", "--expansion", str(expansion), "--points", str(points)])
+    _assert_clean_error(capsys, code, f"{points}, line 1: expected the header "
+                        f"x_1,x_2, got {header!r}")
+
+
+@pytest.mark.parametrize("header", [
+    "0,0,1.5", "i_1,i_2", "i_1,i_2,v", "x_1,x_2,value", "i_1,i_2,i_3,value",
+])
+def test_data_file_without_its_header_exit_1(tmp_path, capsys, header):
+    data, _ = _write_node_data(tmp_path, NodeSpec(n=N53), lambda x: x[0])
+    rows = data.read_text().split("\n", 1)[1]
+    data.write_text(header + "\n" + rows)
+    for command in ("quad", "interp"):
+        code = run([command, "--n", "5,3", "--data", str(data)])
+        _assert_clean_error(capsys, code, f"{data}, line 1: expected the "
+                            f"header i_1,i_2,value, got {header!r}")
+
+
+def test_header_cells_may_carry_blanks(tmp_path, capsys):
+    data, _ = _write_node_data(tmp_path, NodeSpec(n=N53), lambda x: 2.0)
+    rows = data.read_text().split("\n", 1)[1]
+    data.write_text(" i_1 ,\ti_2, value\r\n" + rows)
+    assert run(["quad", "--n", "5,3", "--data", str(data)]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(2.0)
+
+
 def test_eval_empty_points_file_exit_1(tmp_path, capsys):
     expansion = _expansion_file(tmp_path, NodeSpec(n=N53))
     points = tmp_path / "points.csv"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import chebvander
 from strategies import small_specs
 
-from lisscheb import interp
+from lisscheb import interp, transform
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import (
     DomainViolation,
@@ -139,6 +139,19 @@ def test_constructor_rejects_bad_coefficients(coeffs, error, match):
     gs = build_gamma(NodeSpec(n=N53))
     with pytest.raises(error, match=match):
         ChebExpansion(gamma_set=gs, coeffs=coeffs)
+
+
+def test_coefficient_rows_reads_lists_as_the_constructor_reads_a_mapping():
+    gs = build_gamma(NodeSpec(n=N53))
+    rows, values = [[2, 1], [0, 0], [1, 0]], [3.0, -1.0, 0.5j]
+    want = ChebExpansion(gs, dict(zip(map(tuple, rows), values))).coeffs
+    got = transform.coefficient_rows(gs, rows, values)
+    assert got.dtype == want.dtype == np.complex128
+    assert np.array_equal(got, want)
+    repeat = r"repeated gamma \(2, 1\)"
+    with pytest.raises(InvalidParameter, match=repeat) as err:
+        transform.coefficient_rows(gs, rows + [(2, 1)], values + [1.0])
+    assert err.value.row == 3
 
 
 @pytest.mark.parametrize("coeffs, row", [

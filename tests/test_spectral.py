@@ -1,4 +1,7 @@
 import itertools
+import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +12,9 @@ from strategies import small_specs
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import InvalidParameter, NotInGammaSet
 from lisscheb.nodes import NodeSpec, build_node_set
+from lisscheb import spectral
 from lisscheb.spectral import (
     build_gamma,
-    contains_rows,
     involution,
     norm_sq,
 )
@@ -161,7 +164,7 @@ def test_contains_agrees_with_enumeration(spec):
     members = set(gs)
     box = [mj + 1 for mj in spec.m]
     cand = list(itertools.product(*(range(-1, b + 1) for b in box)))
-    rows = contains_rows(spec, np.array(cand, dtype=np.int64))
+    rows = gs.positions(np.array(cand, dtype=np.int64)) >= 0
     assert rows.tolist() == [g in members for g in cand]
     # norm_sq takes one gamma: members have a norm, every other row raises.
     for g in cand:
@@ -202,7 +205,8 @@ def test_positions_maps_rows_to_the_set(spec):
     # Every row of the box one wider than the grid, members or not.
     axes = (range(-1, mj + 2) for mj in spec.m)
     box = np.array(list(itertools.product(*axes)))
-    member = contains_rows(spec, box)
+    members = set(gs)
+    member = np.array([row in members for row in map(tuple, box.tolist())])
     pos = gs.positions(box)
     assert np.array_equal(pos >= 0, member)
     assert np.array_equal(gs.elements[pos[member]], box[member])
@@ -252,3 +256,129 @@ def test_gamma_set_matches_definition(spec):
     assert len(gs) == len(want) == len(build_node_set(spec))
     assert list(gs) == want
     assert gs.special == want[gs.special_pos]
+
+
+def _spec(n, kappa=None):
+    return NodeSpec(n=validate_pairwise_coprime(n), kappa=kappa)
+
+
+def _nbytes(gs):
+    return gs.elements.nbytes + gs.norm_sq.nbytes + gs.e_counts.nbytes
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """A fresh, empty spectral-set cache for one test."""
+    monkeypatch.setattr(spectral, "_cache", OrderedDict())
+    monkeypatch.setattr(spectral, "_cache_bytes", 0)
+
+
+def test_equal_specs_share_one_gamma_set():
+    gs = build_gamma(_spec((7, 5, 3)))
+    assert build_gamma(_spec((7, 5, 3))) is gs
+    assert build_gamma(_spec([7, 5, 3], kappa=[0, np.int64(1), 1])) is (
+        build_gamma(_spec((7, 5, 3), kappa=(0, 1, 1)))
+    )
+
+
+def test_each_family_gets_its_own_gamma_set():
+    # Same n: standard, shifted, and shifted with another kappa.
+    specs = [_spec((5, 3)), _spec((5, 3), (0, 1)), _spec((5, 3), (0, 0))]
+    sets = [build_gamma(spec) for spec in specs]
+    assert len({id(gs) for gs in sets}) == 3
+    assert [gs.spec for gs in sets] == specs
+    assert [len(gs) for gs in sets] == [12, 38, 39]
+
+
+def test_gamma_set_is_read_only():
+    gs = build_gamma(_spec((5, 3), (0, 1)))
+    for array in (gs.elements, gs.norm_sq, gs.e_counts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+    with pytest.raises(AttributeError):
+        gs.norm_sq = gs.norm_sq * 2
+
+
+# The specs of the benchmark workloads, plus (17, 16), (129, 128), (513, 512)
+# and two one-dimensional ones.
+CACHE_SPECS = [
+    _spec(n, kappa) for n, kappa in [
+        ((13, 11, 7, 5), None), ((11, 9, 7, 5, 2), None),
+        ((7, 5, 3, 2), (0, 1, 0, 1)), ((9, 7, 4), (1, 0, 0)),
+        ((31, 29, 16), None), ((17, 16), None), ((9, 7), (0, 1)),
+        ((129, 128), None), ((513, 512), None), ((257, 256), (0, 1)),
+        ((5,), None), ((4,), (0,)),
+    ]
+]
+
+
+@pytest.mark.parametrize("spec", CACHE_SPECS)
+def test_cached_gamma_set_matches_a_fresh_enumeration(spec):
+    build_gamma(spec)
+    cached, fresh = build_gamma(spec), spectral._enumerate_gamma(spec)
+    assert cached.spec == fresh.spec and cached.special_pos == fresh.special_pos
+    for name in ("elements", "norm_sq", "e_counts"):
+        got, want = getattr(cached, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_set_over_the_budget_is_returned_not_kept(monkeypatch, empty_cache):
+    small, large = _spec((5, 3)), _spec((31, 29, 16))
+    budget = _nbytes(spectral._enumerate_gamma(small))
+    monkeypatch.setattr(spectral, "GAMMA_CACHE_BYTES", budget)
+    kept = build_gamma(small)
+    first = build_gamma(large)
+    assert len(first) == 4080 and _nbytes(first) > budget
+    assert build_gamma(large) is not first
+    assert list(spectral._cache) == [small] and build_gamma(small) is kept
+    assert spectral._cache_bytes == budget
+
+
+def test_least_recently_used_set_is_dropped(monkeypatch, empty_cache):
+    a, b, c = _spec((5, 3)), _spec((7, 4)), _spec((5, 3), (0, 1))
+    sizes = {s: _nbytes(spectral._enumerate_gamma(s)) for s in (a, b, c)}
+    monkeypatch.setattr(spectral, "GAMMA_CACHE_BYTES", sizes[a] + sizes[c])
+    first_a = build_gamma(a)
+    build_gamma(b)
+    assert build_gamma(a) is first_a  # a is now the most recently used
+    build_gamma(c)  # over the budget: b goes, a stays
+    assert list(spectral._cache) == [a, c]
+    assert spectral._cache_bytes == sizes[a] + sizes[c]
+    assert build_gamma(a) is first_a
+
+
+def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
+    specs = [_spec(n) for n in [(5, 3), (7, 4), (9, 7), (11, 5), (7, 5, 3)]]
+    fresh = {s: spectral._enumerate_gamma(s) for s in specs}
+    # Room for about two sets, so threads keep evicting one another's.
+    budget = sum(sorted(map(_nbytes, fresh.values()))[-2:])
+    monkeypatch.setattr(spectral, "GAMMA_CACHE_BYTES", budget)
+    errors = []
+
+    def work(k):
+        try:
+            for i in range(200):
+                spec = specs[(k + i) % len(specs)]
+                gs = build_gamma(spec)
+                if gs.spec != spec or not np.array_equal(
+                    gs.elements, fresh[spec].elements
+                ):
+                    errors.append((k, i))
+        except Exception as exc:  # a failure in a thread fails the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    kept = spectral._cache.values()
+    assert spectral._cache_bytes == sum(size for _, size in kept) <= budget
+    assert all(_nbytes(gs) == size for gs, size in kept)

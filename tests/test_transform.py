@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import small_specs
 
 from lisscheb import interp, transform, verify
 from lisscheb.congruence import validate_pairwise_coprime
@@ -318,6 +320,23 @@ def test_embed_grid_shape_and_mass():
 def _max_relative_deviation(got, want):
     scale = max(abs(v) for v in want)
     return max(abs(g - c) for g, c in zip(got, want, strict=True)) / scale
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(spec=small_specs())
+def test_fast_matches_naive_on_small_specs(spec):
+    # Both paths read the spec's shared GammaSet; the oracle checks that
+    # the fast path gathers and scales every variant right, not only the
+    # fixed specs above.
+    ns = build_node_set(spec)
+    rng = np.random.default_rng(spec.n.entries + (spec.kappa or ()))
+    for complex_valued in (False, True):
+        h = random_samples(spec, rng, complex_valued)
+        fast = coefficients_fast(h, node_set=ns)
+        naive = coefficients_naive(h, node_set=ns)
+        assert fast.gamma_set is naive.gamma_set
+        assert fast.coeffs.dtype == naive.coeffs.dtype
+        assert _max_relative_deviation(fast.coeffs, naive.coeffs) < 1e-12
 
 
 @pytest.mark.parametrize(
