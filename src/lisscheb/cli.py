@@ -24,7 +24,7 @@ from . import interp, quad, transform, verify
 from .congruence import validate_pairwise_coprime
 from .curves import LCCurve, sample_curve
 from .errors import DomainViolation, LisschebError
-from .nodes import NodeSet, NodeSpec, build_node_set, int_tuples
+from .nodes import NodeSet, NodeSpec, _face_mask, build_node_set, int_tuples
 from .spectral import build_gamma
 
 EXIT_OK = 0
@@ -97,8 +97,7 @@ def _spec_header(spec: NodeSpec) -> Dict[str, object]:
 
 def _node_rows(ns: NodeSet):
     """Index, point, weight, parity and face bitmask (bit j: 0 < i_j < m_j)."""
-    interior = (ns.indices > 0) & (ns.indices < np.array(ns.spec.m))
-    faces = interior @ (1 << np.arange(ns.spec.dim))
+    faces = _face_mask(ns.indices, ns.spec.m) @ (1 << np.arange(ns.spec.dim))
     return zip(ns.indices.tolist(), ns.points.tolist(), ns.weights.tolist(),
                ns.parities.tolist(), faces.tolist())
 
@@ -369,12 +368,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     suites = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = verify.run_suites(spec, suites)
-    all_ok = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.suite}: {result.name} ({result.detail})")
-        all_ok &= result.passed
-    return EXIT_OK if all_ok else EXIT_VALIDATION
+    return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 
 @functools.cache

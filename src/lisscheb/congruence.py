@@ -7,10 +7,12 @@ rest on these primitives being bit-exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from collections.abc import Iterable
+from typing import Sequence, Tuple
 
 from .errors import (
     CoprimalityViolation,
@@ -42,22 +44,16 @@ class DimensionVector:
     def dim(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
 
 def integer_tuple(values: Iterable[int], what: str) -> Tuple[int, ...]:
     """The values as a tuple of Python ints.
 
     Python and numpy integers are accepted; anything else (a float, a
-    string, a bool) raises InvalidParameter instead of being truncated.
+    string, a bool) or values that are not iterable raise InvalidParameter
+    instead of being truncated.
     """
+    if not isinstance(values, Iterable):
+        raise InvalidParameter(f"{what} must be a sequence, got {values!r}")
     out = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -81,17 +77,12 @@ def validate_pairwise_coprime(entries: Iterable[int]) -> DimensionVector:
             raise ZeroEntry("frequency entries must be positive")
         if e < 0:
             raise ZeroEntry(f"frequency entries must be positive, got {e}")
-    d = len(entries)
-    for i in range(d):
-        for j in range(i + 1, d):
-            g = math.gcd(entries[i], entries[j])
-            if g > 1:
-                raise CoprimalityViolation(i + 1, j + 1, g)
-    product = 1
-    for e in entries:
-        product *= e
+    for (i, a), (j, b) in itertools.combinations(enumerate(entries, 1), 2):
+        if (g := math.gcd(a, b)) > 1:
+            raise CoprimalityViolation(i, j, g)
+    product = math.prod(entries)
     # Guard the largest integer any construction needs: 4 * P[2n].
-    if 4 * (2**d) * product > _INT64_MAX:
+    if 4 * 2 ** len(entries) * product > _INT64_MAX:
         raise OverflowDimension(
             f"product {product} too large for 64-bit index arithmetic"
         )
@@ -113,20 +104,17 @@ def crt_solve(congruences: Sequence[Tuple[int, int]]) -> int:
         raise EmptyDimension("congruence system must be non-empty")
     residues = integer_tuple((a for a, _ in congruences), "residue")
     moduli = integer_tuple((k for _, k in congruences), "modulus")
+    if min(moduli) < 1:
+        raise ZeroEntry("moduli must be positive")
     pairs = list(zip(residues, moduli))
-    for _, k in pairs:
-        if k < 1:
-            raise ZeroEntry("moduli must be positive")
-    d = len(pairs)
-    for i in range(d):
-        for j in range(i + 1, d):
-            g = math.gcd(pairs[i][1], pairs[j][1])
-            if (pairs[i][0] - pairs[j][0]) % g != 0:
-                raise IncompatibleCongruences(i + 1, j + 1)
+    for (i, (a, k)), (j, (b, m)) in itertools.combinations(
+        enumerate(pairs, 1), 2
+    ):
+        if (a - b) % math.gcd(k, m) != 0:
+            raise IncompatibleCongruences(i, j)
     a, k = pairs[0]
     a %= k
-    for i in range(1, d):
-        b, m = pairs[i]
+    for b, m in pairs[1:]:
         g = math.gcd(k, m)
         lcm = k // g * m
         # l = a + k*t with k*t = (b - a) mod m; solvable since g | (b - a).

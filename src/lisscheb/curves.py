@@ -30,11 +30,12 @@ class GeneralCurve:
     u: Tuple[int, ...]
 
     def __post_init__(self):
-        if not self.q:
+        q = integer_tuple(self.q, "frequency")
+        if not q:
             raise ZeroEntry("frequency tuple must be non-empty")
-        if len(self.alpha) != len(self.q) or len(self.u) != len(self.q):
+        if len(self.alpha) != len(q) or len(self.u) != len(q):
             raise InvalidParameter("q, alpha and u must have equal length")
-        if math.gcd(*self.q) != 1:
+        if math.gcd(*q) != 1:
             raise InvalidParameter("frequencies must have overall gcd 1")
         if any(s not in (-1, 1) for s in self.u):
             raise InvalidParameter("signs must be -1 or +1")
@@ -212,9 +213,7 @@ def self_intersection_counts(n: DimensionVector) -> Dict[FrozenSet[int], int]:
     counts: Dict[FrozenSet[int], int] = {}
     for mask in range(2**d):
         face = frozenset(i for i in range(d) if mask >> i & 1)
-        prod = 1
-        for i in face:
-            prod *= n.entries[i] - 1
+        prod = math.prod(n.entries[i] - 1 for i in face)
         # 2**(1-#M) * prod is integral: prod is even unless it vanishes
         # or every n_i in M is even (at most one entry of n is even).
         counts[face] = prod * 2 // (2 ** len(face))
@@ -223,10 +222,7 @@ def self_intersection_counts(n: DimensionVector) -> Dict[FrozenSet[int], int]:
 
 def total_node_count(n: DimensionVector) -> int:
     """Total number of distinct points the degenerate curve visits."""
-    prod = 1
-    for ni in n.entries:
-        prod *= ni + 1
-    return prod // 2 ** (n.dim - 1)
+    return math.prod(ni + 1 for ni in n.entries) // 2 ** (n.dim - 1)
 
 
 def sample_curve(

@@ -87,8 +87,10 @@ def expansion_eval(p: ChebExpansion, x: Sequence[float]) -> Scalar:
     by nodes.check_points.
     """
     gs = p.gamma_set
-    # An array of rows, or a sequence of rows even of different lengths.
-    if getattr(x, "ndim", 1) == 2 or len(x) and hasattr(x[0], "__len__"):
+    # An array of rows, or a sequence of rows even of different lengths;
+    # anything else, a scalar or None too, is one point for check_points.
+    rows = hasattr(x, "__len__") and len(x) and hasattr(x[0], "__len__")
+    if getattr(x, "ndim", 1) == 2 or rows:
         return _eval_points(p, check_points(x, gs.spec.dim))
     tables = _cheb_table(check_points([x], gs.spec.dim), gs.spec.m)[0]
     columns = [t[gs.elements[:, j]] for j, t in enumerate(tables)]

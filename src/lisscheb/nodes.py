@@ -12,12 +12,15 @@ weight determined by how many components are strictly interior.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .congruence import DimensionVector, integer_tuple
+from .congruence import validate_pairwise_coprime
 from .errors import (
     DomainViolation,
     IndexOutOfRange,
@@ -40,6 +43,7 @@ _DOMAIN_SLACK = 1e-12
 class NodeSpec:
     """Handle identifying a node family: the vector n plus an optional shift.
 
+    ``n``, a DimensionVector or a sequence of integers, is validated.
     ``kappa is None`` selects the standard family (grid denominators n_j);
     otherwise the shifted family (denominators 2n_j).
     """
@@ -48,6 +52,8 @@ class NodeSpec:
     kappa: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
+        n = validate_pairwise_coprime(getattr(self.n, "entries", self.n))
+        object.__setattr__(self, "n", n)
         if self.kappa is None:
             return
         # Kept as a tuple of ints, so that specs hash: they key build_gamma.
@@ -78,10 +84,8 @@ class NodeSpec:
         coprime there is at most one even entry, which forces g.  With all
         entries odd any choice works and the first dimension is used.
         """
-        for j, e in enumerate(self.n.entries):
-            if e % 2 == 0:
-                return j
-        return 0
+        evens = (j for j, e in enumerate(self.n.entries) if e % 2 == 0)
+        return next(evens, 0)
 
 
 @dataclass(frozen=True)
@@ -95,63 +99,50 @@ class Node:
     face: FrozenSet[int]
 
 
+@dataclass(frozen=True, eq=False)
 class NodeSet:
     """The full enumerated node family, ordered lexicographically by index.
 
-    The primary storage is array-based (``indices``, ``points``, ``weights``,
-    ``parities`` are parallel numpy arrays); the Node object list and the
-    index-to-position lookup are materialized lazily on first access.
+    ``indices``, ``points``, ``weights`` and ``parities`` are parallel
+    arrays.  The Node list and the index-to-position lookup are built on
+    first access and kept on the instance; the fields are frozen, so they
+    stay in step with ``indices``.
     """
 
-    def __init__(
-        self,
-        spec: NodeSpec,
-        indices: np.ndarray,
-        points: np.ndarray,
-        weights: np.ndarray,
-        parities: np.ndarray,
-    ):
-        self.spec = spec
-        self.indices = indices
-        self.points = points
-        self.weights = weights
-        self.parities = parities
-        self._nodes: Optional[List[Node]] = None
-        self._lookup: Optional[Dict[MultiIndex, int]] = None
+    spec: NodeSpec
+    indices: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    parities: np.ndarray
 
     def __len__(self) -> int:
         return self.indices.shape[0]
 
     @property
     def nodes(self) -> List[Node]:
-        if self._nodes is None:
-            m = self.spec.m
-            out = []
-            for row, pt, w, r in zip(
-                self.indices, self.points, self.weights, self.parities
-            ):
-                idx = tuple(int(v) for v in row)
-                face = frozenset(
-                    j for j, v in enumerate(idx) if 0 < v < m[j]
-                )
-                out.append(
-                    Node(
-                        index=idx,
-                        point=tuple(float(v) for v in pt),
-                        weight=float(w),
-                        parity=int(r),
-                        face=face,
-                    )
-                )
-            self._nodes = out
+        if "_nodes" not in vars(self):
+            faces = _face_mask(self.indices, self.spec.m).tolist()
+            columns = (
+                int_tuples(self.indices),
+                zip(*self.points.T.tolist()),
+                self.weights.tolist(),
+                self.parities.tolist(),
+                (frozenset(compress(range(len(f)), f)) for f in faces),
+            )
+            object.__setattr__(self, "_nodes", list(map(Node, *columns)))
         return self._nodes
 
     @property
     def lookup(self) -> Dict[MultiIndex, int]:
-        if self._lookup is None:
-            keys = int_tuples(self.indices)
-            self._lookup = dict(zip(keys, range(len(self))))
+        if "_lookup" not in vars(self):
+            lookup = dict(zip(int_tuples(self.indices), range(len(self))))
+            object.__setattr__(self, "_lookup", lookup)
         return self._lookup
+
+
+def _face_mask(indices: np.ndarray, m: Sequence[int]) -> np.ndarray:
+    """Where 0 < i_j < m_j: row k marks the face set of node k."""
+    return (indices > 0) & (indices < np.array(m))
 
 
 def int_tuples(rows: np.ndarray) -> Iterator[Tuple[int, ...]]:
@@ -215,16 +206,10 @@ def build_node_set(spec: NodeSpec) -> NodeSet:
     indices = np.argwhere(mask)
     parities = ((indices[:, 0] + kappa[0]) % 2).astype(np.uint8)
 
-    tables = chi_tables(spec)
-    points = np.column_stack(
-        [tables[j][indices[:, j]] for j in range(spec.dim)]
-    )
+    points = np.column_stack([t[i] for t, i in zip(chi_tables(spec), indices.T)])
 
-    interior = ((indices > 0) & (indices < np.array(m))).sum(axis=1)
-    if spec.is_shifted:
-        denom = 2 ** (spec.dim + 1) * spec.n.product
-    else:
-        denom = 2 * spec.n.product
+    interior = _face_mask(indices, m).sum(axis=1)
+    denom = 2 ** (spec.dim + 1 if spec.is_shifted else 1) * spec.n.product
     weights = np.exp2(interior.astype(np.float64)) / denom
 
     return NodeSet(spec, indices, points, weights, parities)
@@ -238,11 +223,7 @@ def class_map_standard(n: DimensionVector, l: int) -> MultiIndex:
     (l,) = integer_tuple((l,), "parameter index")
     if not 0 <= l < 2 * n.product:
         raise IndexOutOfRange(f"l={l} outside [0, {2 * n.product})")
-    out = []
-    for nj in n.entries:
-        a = l % (2 * nj)
-        out.append(a if a <= nj else 2 * nj - a)
-    return tuple(out)
+    return tuple(_fold(l, nj) for nj in n.entries)
 
 
 def class_map_shifted(
@@ -267,17 +248,16 @@ def class_map_shifted(
         raise IndexOutOfRange("rho must have one bit per non-g dimension")
     if any(b not in (0, 1) for b in rho):
         raise IndexOutOfRange("rho entries must be bits")
+    bits = rho[:g] + (0,) + rho[g:]
+    return tuple(
+        _fold(l + 2 * b * nj - k, 2 * nj)
+        for nj, k, b in zip(n.entries, spec.kappa, bits)
+    )
 
-    out = []
-    pos = 0
-    for j, nj in enumerate(n.entries):
-        if j == g:
-            a = (l - spec.kappa[j]) % (4 * nj)
-        else:
-            a = (l + 2 * rho[pos] * nj - spec.kappa[j]) % (4 * nj)
-            pos += 1
-        out.append(a if a <= 2 * nj else 4 * nj - a)
-    return tuple(out)
+
+def _fold(a: int, m: int) -> int:
+    """The representative of +-a mod 2m inside [0, m]."""
+    return min(a % (2 * m), -a % (2 * m))
 
 
 def check_points(points, dim: int) -> np.ndarray:
@@ -287,26 +267,23 @@ def check_points(points, dim: int) -> np.ndarray:
     sequences; the result is the (M, dim) float64 array of the points, the
     input array itself when it is one and needs no clamping.  Raises
     DomainViolation for an array that is not two-dimensional (an empty
-    sequence is no points), and at the first point, in order, with a wrong
-    number of coordinates, a NaN or infinite coordinate, or one outside
-    [-1, 1] by more than _DOMAIN_SLACK; the exception's ``row`` is that
-    point's position.
+    sequence is no points), and at the first point, in order, that is not
+    dim real numbers (a string, None or a complex number among them), has
+    a NaN or infinite coordinate, or one outside [-1, 1] by more than
+    _DOMAIN_SLACK; the exception's ``row`` is that point's position.
     """
     try:
-        x = np.asarray(points, dtype=np.float64)
+        x = _real_array(points)
         if x.ndim != 2 and x.shape != (0,):
+            if not isinstance(points, np.ndarray):
+                raise ValueError("a sequence of points has a bad point")
             raise DomainViolation(
                 f"points form an array of shape {x.shape}, expected (M, {dim})"
             )
         x = x.reshape(len(points), dim)
-    except ValueError:
-        # Ragged rows or rows of another length; anything else re-raises.
-        row = next((k for k, p in enumerate(points) if len(p) != dim), None)
-        if row is None:
-            raise
-        raise DomainViolation(
-            f"point has {len(points[row])} coordinates, expected {dim}", row
-        ) from None
+    except (TypeError, ValueError, OverflowError):
+        # Ragged or short rows, a flat sequence or values that are not real.
+        raise _bad_point(points, dim) from None
     # A NaN makes the maximum NaN, which fails the comparison.
     if np.abs(x).max(initial=0.0) <= 1.0:
         return x
@@ -319,6 +296,37 @@ def check_points(points, dim: int) -> np.ndarray:
     return x.clip(-1.0, 1.0)
 
 
+def _real_array(values) -> np.ndarray:
+    """values as a float64 array; TypeError, ValueError or OverflowError
+    for a value that is not a real number a float can hold."""
+    x = np.asarray(values)
+    kind = x.dtype.kind
+    # Strings and complex numbers; None and other objects among numbers.
+    if kind not in "biufO" or kind == "O" and not all(
+        isinstance(v, numbers.Real) for v in x.flat
+    ):
+        raise TypeError(f"values of dtype {x.dtype}")
+    return x.astype(np.float64, copy=False)
+
+
+def _bad_point(points, dim: int) -> DomainViolation:
+    """The error of the first of the points that is not dim real numbers."""
+    for row, point in enumerate(points):
+        try:
+            x = _real_array(point)
+        except (TypeError, ValueError, OverflowError):
+            x = None
+        if x is None or x.ndim != 1:
+            return DomainViolation(
+                f"point {point!r} is not a sequence of real numbers", row
+            )
+        if len(x) != dim:
+            return DomainViolation(
+                f"point has {len(x)} coordinates, expected {dim}", row
+            )
+    return DomainViolation(f"points are not an (M, {dim}) array of numbers")
+
+
 def variety_membership(
     spec: NodeSpec, x: Sequence[float], tol: float = 1e-9
 ) -> bool:
@@ -328,11 +336,10 @@ def variety_membership(
     (standard), or (-1)^{kappa_i} T_{2n_i}(x_i) all equal (shifted).
     Raises DomainViolation for a point that check_points rejects.
     """
-    vals = []
-    for j, xj in enumerate(check_points([x], spec.dim)[0].tolist()):
-        mj = spec.m[j]
-        v = math.cos(mj * math.acos(xj))
-        if spec.is_shifted and spec.kappa[j] % 2 == 1:
-            v = -v
-        vals.append(v)
+    x = check_points([x], spec.dim)[0].tolist()
+    kappa = spec.kappa or (0,) * spec.dim
+    vals = [
+        (-1) ** k * math.cos(mj * math.acos(xj))
+        for xj, mj, k in zip(x, spec.m, kappa)
+    ]
     return max(vals) - min(vals) <= tol

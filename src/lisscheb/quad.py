@@ -18,7 +18,6 @@ from .congruence import integer_tuple
 from .errors import InvalidParameter
 from .nodes import NodeSet, check_box_size
 from .transform import (
-    SampleVector,
     _scatter_grid,
     _transform_all_axes,
     alias_integral,
@@ -35,9 +34,8 @@ class ExactnessTable:
     ok: np.ndarray
 
 
-def integrate(h: SampleVector) -> float:
-    """Apply the quadrature rule sum_i w_i h(i) to node samples."""
-    return discrete_integral(h)
+# The quadrature rule sum_i w_i h(i) applied to node samples.
+integrate = discrete_integral
 
 
 def exactness_table(
@@ -65,10 +63,8 @@ def exactness_table(
         raise InvalidParameter(f"box needs {spec.dim} entries >= 0: {box}")
     check_box_size(box)
     sums = _transform_all_axes(_scatter_grid(node_set, node_set.weights))
-    folded = []
-    for b, mj in zip(box, spec.m):
-        k = np.arange(b + 1) % (2 * mj)
-        folded.append(np.minimum(k, 2 * mj - k))
+    ks = [np.arange(b + 1) % (2 * mj) for b, mj in zip(box, spec.m)]
+    folded = [np.minimum(k, 2 * mj - k) for k, mj in zip(ks, spec.m)]
     rule = sums[np.ix_(*folded)]
 
     true = np.zeros(rule.shape)

@@ -209,12 +209,15 @@ def aligned_values(
 ) -> np.ndarray:
     """Order the sample dict along the node set, validating its domain.
 
-    Raises IndexOutOfRange for a wrong sample count or index,
-    InvalidParameter for a non-number and DomainViolation for NaN, inf or
-    an int too large for a float.
+    Raises InvalidParameter for values that are not a mapping or a value
+    that is not a number, IndexOutOfRange for a wrong sample count or
+    index and DomainViolation for NaN, inf or an int too large for a float.
     """
     if h.spec != node_set.spec:
         raise SpecMismatch("sample vector and node set use different specs")
+    if not isinstance(h.values, Mapping):
+        kind = type(h.values).__name__
+        raise InvalidParameter(f"sample values must map node indices, not {kind}")
     n = len(node_set)
     if len(h.values) != n:
         raise IndexOutOfRange(

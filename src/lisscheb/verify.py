@@ -17,11 +17,13 @@ import numpy as np
 from . import quad, transform
 from .curves import LCCurve, lc_eval_at_index
 from .errors import InvalidParameter
-from .nodes import NodeSet, NodeSpec, build_node_set
+from .nodes import NodeSet, NodeSpec, build_node_set, chi_tables
 from .spectral import build_gamma
 
 _TRANSFORM_TRIALS = 5
 _TRANSFORM_SEED = 0
+# Most chi-matrix entries in one Gram block of suite_orthogonality: 8 MB.
+_GRAM_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,61 +35,76 @@ class CheckResult:
 
 
 def suite_orthogonality(node_set: NodeSet) -> List[CheckResult]:
-    """Gram matrix of the basis functions is diagonal with the stated norms."""
+    """Gram matrix of the basis functions is diagonal with the stated norms.
+
+    It is formed one pair of gamma-row blocks at a time, from chi blocks of
+    at most _GRAM_BLOCK_ENTRIES entries, so memory is bounded.
+    """
     spec = node_set.spec
     gs = build_gamma(spec)
-    results = []
-    results.append(
+    w = node_set.weights
+    tables = chi_tables(spec)
+    rows = max(1, _GRAM_BLOCK_ENTRIES // max(1, len(node_set)))
+    starts = range(0, len(gs), rows)
+
+    def chi(start):
+        gammas = gs.elements[start : start + rows]
+        return transform.chi_matrix(spec, gammas, node_set.indices, tables)
+
+    offs, diags = [], []
+    for a, i in enumerate(starts):
+        x = chi(i)
+        xw = x * w
+        gram = xw @ x.T
+        diags.append(np.abs(np.diag(gram) - gs.norm_sq[i : i + rows]).max())
+        np.fill_diagonal(gram, 0.0)
+        offs.append(np.abs(gram).max())
+        # Both blocks of a pair: their entries multiply in another order.
+        for y in map(chi, starts[a + 1 :]):
+            offs += [np.abs(xw @ y.T).max(), np.abs((y * w) @ x.T).max()]
+    # np.max, unlike max, keeps a NaN.
+    max_off, diag_err = float(np.max(offs)), float(np.max(diags))
+    return [
         CheckResult(
             "orthogonality",
             "cardinality match",
             len(gs) == len(node_set),
             f"#gamma={len(gs)} #nodes={len(node_set)}",
-        )
-    )
-    x = transform.chi_matrix(spec, gs.elements, node_set.indices)
-    gram = (x * node_set.weights) @ x.T
-    off = gram - np.diag(np.diag(gram))
-    max_off = float(np.abs(off).max()) if len(gs) > 1 else 0.0
-    diag_err = float(np.abs(np.diag(gram) - gs.norm_sq).max())
-    results.append(
+        ),
         CheckResult(
             "orthogonality",
             "off-diagonal Gram entries",
             max_off < 1e-10,
             f"max |off-diagonal| = {max_off:.3e}",
-        )
-    )
-    results.append(
+        ),
         CheckResult(
             "orthogonality",
             "diagonal norms",
             diag_err < 1e-10,
             f"max |diagonal - norm| = {diag_err:.3e}",
-        )
-    )
-    return results
+        ),
+    ]
 
 
 def suite_curve(node_set: NodeSet) -> List[CheckResult]:
-    """Curve samples at the grid parameters reproduce the node set."""
+    """Curve samples at the grid parameters reproduce the node set.
+
+    The standard family has one epsilon=1 curve; the shifted family has an
+    epsilon=2 curve per sign pattern off axis g.  Both sample l < 2 eps P[n].
+    """
     spec = node_set.spec
-    n = spec.n
-    d = spec.dim
+    g = spec.g_index
+    eps = 2 if spec.is_shifted else 1
+    kappa = spec.kappa or (0,) * spec.dim
     # lc_eval_at_index makes samples bit-identical to node coordinates.
     node_points = set(map(tuple, node_set.points.tolist()))
     sampled = set()
-    if spec.is_shifted:
-        # u_g = 1 and every sign pattern on the other axes
-        for signs in itertools.product((1, -1), repeat=d - 1):
-            u = signs[: spec.g_index] + (1,) + signs[spec.g_index :]
-            curve = LCCurve(n=n, epsilon=2, kappa=spec.kappa, u=u)
-            for l in range(4 * n.product):
-                sampled.add(lc_eval_at_index(curve, l))
-    else:
-        curve = LCCurve(n=n, epsilon=1, kappa=(0,) * d, u=(1,) * d)
-        for l in range(2 * n.product):
-            sampled.add(lc_eval_at_index(curve, l))
+    # (1, -1)[:1] gives the one all-ones pattern of the standard family.
+    for signs in itertools.product((1, -1)[:eps], repeat=spec.dim - 1):
+        u = signs[:g] + (1,) + signs[g:]
+        curve = LCCurve(n=spec.n, epsilon=eps, kappa=kappa, u=u)
+        steps = range(2 * eps * spec.n.product)
+        sampled.update(lc_eval_at_index(curve, l) for l in steps)
     ok = sampled == node_points
     return [
         CheckResult(
@@ -101,28 +118,24 @@ def suite_curve(node_set: NodeSet) -> List[CheckResult]:
 
 def suite_quadrature(node_set: NodeSet) -> List[CheckResult]:
     """Weights are positive, normalized, and the rule matches the alias table."""
-    results = []
     total = float(node_set.weights.sum())
-    results.append(
+    box = [2 * mj - 1 for mj in node_set.spec.m]
+    ok = quad.exactness_table(node_set, box).ok
+    bad = int(np.count_nonzero(~ok))
+    return [
         CheckResult(
             "quadrature",
             "weights normalized",
             node_set.weights.min() > 0 and abs(total - 1.0) < 1e-14,
             f"sum of weights = {total!r}",
-        )
-    )
-    box = [2 * mj - 1 for mj in node_set.spec.m]
-    ok = quad.exactness_table(node_set, box).ok
-    bad = int(np.count_nonzero(~ok))
-    results.append(
+        ),
         CheckResult(
             "quadrature",
             "rule equals alias prediction on the box",
             not bad,
             f"{ok.size} frequencies checked, {bad} mismatches",
-        )
-    )
-    return results
+        ),
+    ]
 
 
 def suite_transform(node_set: NodeSet) -> List[CheckResult]:
@@ -175,7 +188,4 @@ def run_suites(
         if name not in dispatch:
             raise InvalidParameter(f"unknown suite {name!r}")
     node_set = build_node_set(spec)
-    results: List[CheckResult] = []
-    for name in suites:
-        results.extend(dispatch[name](node_set))
-    return results
+    return [r for name in suites for r in dispatch[name](node_set)]

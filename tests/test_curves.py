@@ -43,6 +43,12 @@ def test_general_curve_requires_gcd_one():
         GeneralCurve(q=(2, 4), alpha=(0.0, 0.0), u=(1, 1))
 
 
+@pytest.mark.parametrize("q", [(1.5, 2), (1, 2.0), ("1", 2), 3])
+def test_general_curve_requires_integer_frequencies(q):
+    with pytest.raises(InvalidParameter):
+        GeneralCurve(q=q, alpha=(0.0, 0.0), u=(1, 1))
+
+
 def test_lc_curve_rejects_bad_parameters():
     with pytest.raises(InvalidParameter, match="dimension"):
         LCCurve(n=N53, epsilon=1, kappa=(0,), u=(1, 1))

@@ -1,22 +1,26 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from strategies import small_specs
 
-from lisscheb.congruence import validate_pairwise_coprime
+from lisscheb.congruence import DimensionVector, validate_pairwise_coprime
 from lisscheb.curves import LCCurve, lc_eval_at_index
 from lisscheb.errors import (
+    CoprimalityViolation,
     DomainViolation,
     IndexOutOfRange,
     InvalidParameter,
     OverflowDimension,
 )
-from lisscheb.interp import ChebExpansion, expansion_eval
+from lisscheb.interp import ChebExpansion, cheb_T_eval, expansion_eval
+from lisscheb.interp import kernel_eval
 from lisscheb.nodes import (
     MAX_BOX_CELLS,
+    Node,
     NodeSpec,
     build_node_set,
     cgl_point,
@@ -359,3 +363,75 @@ def test_node_set_matches_definition(spec):
     assert len(ns) == len(want)
     assert ns.indices.tolist() == want
     assert ns.parities.tolist() == [(i[0] - kappa[0]) % 2 for i in want]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(spec=small_specs())
+def test_nodes_match_a_per_element_reference(spec):
+    ns = build_node_set(spec)
+    want = []
+    for row, pt, w, r in zip(ns.indices, ns.points, ns.weights, ns.parities):
+        index = tuple(int(v) for v in row)
+        face = frozenset(j for j, v in enumerate(index) if 0 < v < spec.m[j])
+        point = tuple(float(v) for v in pt)
+        want.append(Node(index, point, float(w), int(r), face))
+    assert ns.nodes == want
+    for got, ref in zip(ns.nodes, want):
+        for name in ("index", "point", "weight", "parity", "face"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert type(a) is type(b), name
+            if isinstance(a, tuple):
+                assert list(map(type, a)) == list(map(type, b)), name
+
+
+def test_node_set_fields_are_frozen():
+    ns = build_node_set(NodeSpec(n=N53))
+    lookup = ns.lookup
+    for name in ("spec", "indices", "points", "weights", "parities"):
+        with pytest.raises(AttributeError):
+            setattr(ns, name, getattr(ns, name))
+    assert ns.lookup is lookup
+    # Node sets compare and hash by identity, so a WeakSet can hold them.
+    assert ns != build_node_set(NodeSpec(n=N53))
+    assert ns in weakref.WeakSet([ns])
+
+
+@pytest.mark.parametrize("call, row", [
+    (lambda p, spec: expansion_eval(p, [["a", "b"]]), 0),
+    (lambda p, spec: kernel_eval(spec, "ab", "cd"), 0),
+    (lambda p, spec: kernel_eval(spec, (0.5, 0.5), (0.5, 1j)), 1),
+    (lambda p, spec: cheb_T_eval((1, 2), "ab"), 0),
+    (lambda p, spec: variety_membership(spec, "ab"), 0),
+    (lambda p, spec: expansion_eval(p, [0.1 + 1j, 0.2]), 0),
+    (lambda p, spec: expansion_eval(p, np.array([[0.1 + 1j, 0.2]])), 0),
+    (lambda p, spec: expansion_eval(p, 0.5), 0),
+    (lambda p, spec: expansion_eval(p, None), 0),
+    (lambda p, spec: expansion_eval(p, [[0.5, -0.25], [None, 0.1]]), 1),
+])
+def test_non_real_coordinates_raise_domain_violation(call, row):
+    spec = NodeSpec(n=N53)
+    p = ChebExpansion(build_gamma(spec), {(0, 0): 1.0})
+    with pytest.raises(DomainViolation, match="not a sequence of real") as info:
+        call(p, spec)
+    assert info.value.row == row
+
+
+@pytest.mark.parametrize("n", [(5, 3), [5, 3], np.array([5, 3]), N53])
+def test_node_spec_validates_n(n):
+    spec = NodeSpec(n=n)
+    assert spec == NodeSpec(n=N53) and hash(spec) == hash(NodeSpec(n=N53))
+    assert spec.n.product == 15 and spec.n.coproducts == (3, 5)
+    assert len(build_node_set(spec)) == 12
+
+
+def test_node_spec_rejects_bad_n():
+    with pytest.raises(InvalidParameter, match="must be a sequence"):
+        NodeSpec(n=5)
+    with pytest.raises(InvalidParameter, match="integers"):
+        NodeSpec(n=(5.0, 3))
+    # A hand-built vector is checked too, not trusted.
+    forged = DimensionVector(entries=(4, 2), product=8, coproducts=(2, 4))
+    with pytest.raises(CoprimalityViolation):
+        NodeSpec(n=forged)
+    with pytest.raises(CoprimalityViolation):
+        NodeSpec(n=forged, kappa=(0, 1))

@@ -405,6 +405,14 @@ def test_unknown_sample_index_rejected():
         coefficients_fast(SampleVector(spec=spec, values=values))
 
 
+@pytest.mark.parametrize("values", [None, [1.0] * 12, 1.0, "abc"])
+def test_sample_values_must_be_a_mapping(values):
+    h = SampleVector(spec=NodeSpec(n=N53), values=values)
+    for op in (integrate, interpolate, coefficients_naive):
+        with pytest.raises(InvalidParameter, match="must map node indices"):
+            op(h)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
 def test_non_finite_samples_rejected(bad):
     spec = NodeSpec(n=N53)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from lisscheb import verify
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import InvalidParameter
-from lisscheb.nodes import NodeSpec, build_node_set
+from lisscheb.nodes import NodeSet, NodeSpec, build_node_set
+from lisscheb.spectral import build_gamma
 
 ROOT = Path(__file__).resolve().parent.parent
 N53 = validate_pairwise_coprime((5, 3))
@@ -33,6 +35,51 @@ def test_each_suite_audits_the_node_set_it_is_given(spec):
         ("quadrature", "weights normalized"),
         ("quadrature", "rule equals alias prediction on the box"),
     }
+
+
+def test_orthogonality_memory_is_bounded():
+    # The whole Gram matrix and its chi matrix took 140 MB here.
+    ns = build_node_set(NodeSpec(n=validate_pairwise_coprime((65, 64))))
+    build_gamma(ns.spec)  # the cached set is not the suite's memory
+    tracemalloc.start()
+    try:
+        results = verify.suite_orthogonality(ns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 64 << 20
+
+
+@pytest.mark.parametrize("n, kappa", [
+    ((5, 3), None), ((7, 5, 3, 2), None), ((17, 16), None), ((9, 7), (0, 1)),
+])
+@pytest.mark.parametrize("rows", [1, 5, 64])
+def test_gram_blocks_give_the_results_of_one_block(n, kappa, rows, monkeypatch):
+    ns = build_node_set(NodeSpec(n=validate_pairwise_coprime(n), kappa=kappa))
+    assert verify._GRAM_BLOCK_ENTRIES >= len(ns) ** 2  # one block
+    whole = verify.suite_orthogonality(ns)
+    ns.weights[-1] *= 1.0 + 1e-6
+    tampered = verify.suite_orthogonality(ns)
+    assert not all(r.passed for r in tampered)
+    monkeypatch.setattr(verify, "_GRAM_BLOCK_ENTRIES", rows * len(ns))
+    assert verify.suite_orthogonality(ns) == tampered
+    ns.weights[-1] /= 1.0 + 1e-6
+    blocked = verify.suite_orthogonality(ns)
+    assert [r.passed for r in blocked] == [r.passed for r in whole]
+    # The untampered maxima are rounding noise, about 1e-16.  OpenBLAS
+    # rounds products of fewer than about 35 rows in another order, which
+    # moves that noise; from 64 rows on the blocks give the same bits.
+    if rows >= 64:
+        assert blocked == whole
+
+
+def test_orthogonality_of_an_empty_node_set_fails():
+    ns = build_node_set(NodeSpec(n=N53))
+    empty = NodeSet(ns.spec, *(a[:0] for a in (ns.indices, ns.points,
+                                              ns.weights, ns.parities)))
+    results = verify.suite_orthogonality(empty)
+    assert [r.passed for r in results] == [False, True, False]
 
 
 def test_unknown_suite_rejected_before_any_suite_runs(monkeypatch):
