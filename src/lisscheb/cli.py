@@ -16,15 +16,14 @@ import json
 import math
 import sys
 import warnings
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import interp, quad, transform, verify
-from .congruence import validate_pairwise_coprime
 from .curves import LCCurve, sample_curve
 from .errors import DomainViolation, LisschebError
-from .nodes import NodeSet, NodeSpec, _face_mask, build_node_set, int_tuples
+from .nodes import NodeSpec, _face_mask, build_node_set, int_tuples
 from .spectral import build_gamma
 
 EXIT_OK = 0
@@ -32,8 +31,7 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
+_fmt = "%.17g".__mod__  # 17 digits read back as the same float64
 
 
 def _parse_int_list(text: str) -> Tuple[int, ...]:
@@ -44,7 +42,7 @@ def _parse_int_list(text: str) -> Tuple[int, ...]:
 
 
 def _spec_from_args(args: argparse.Namespace) -> NodeSpec:
-    n = validate_pairwise_coprime(_parse_int_list(args.n))
+    n = _parse_int_list(args.n)
     if args.variant == "shifted":
         if args.kappa is None:
             raise LisschebError("shifted variant requires --kappa")
@@ -73,111 +71,106 @@ def _output(path: Optional[str]):
             yield out
 
 
-def _write_csv(path: Optional[str], header: List[str], rows) -> None:
+def _split(columns):
+    """Each (name, array) column as (name, k, its k columns as a (k, N) array).
+
+    k is None for an (N,) array, whose one column is the array itself.
+    """
+    for name, array in columns:
+        array = np.asarray(array)
+        k = array.shape[1] if array.ndim == 2 else None
+        yield name, k, array[None] if k is None else array.T
+
+
+def _write_csv(path: Optional[str], columns) -> None:
+    """Write (name, array) columns, in node-set or Γ order, as CSV.
+
+    An (N,) array is the column name and an (N, k) array the columns
+    name_1..name_k.  Floats are written by _fmt, ints and bools as
+    integers, and each row is formatted when it is written.
+    """
+    names, cells = [], []
+    for name, k, subs in _split(columns):
+        names += [name] if k is None else [f"{name}_{j + 1}" for j in range(k)]
+        form = _fmt if subs.dtype.kind == "f" else "%d".__mod__
+        cells += [map(form, sub) for sub in subs.tolist()]
     with _output(path) as out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(names)
+        writer.writerows(zip(*cells))
 
 
-def _write_json(path: Optional[str], payload) -> None:
-    with _output(path) as out:
-        json.dump(payload, out, indent=2, sort_keys=False)
-        out.write("\n")
+def _write_json(path: Optional[str], spec: NodeSpec, key: str,
+                columns) -> None:
+    """Write the spec's variant, n and kappa, then one object per row under key.
 
-
-def _spec_header(spec: NodeSpec) -> Dict[str, object]:
-    """The variant, n and kappa entries that open every JSON document."""
-    return {
+    The layout is that of json.dump(indent=2), an (N, k) array a list of k
+    entries in each object; every node set, Γ and expansion has a row.  An
+    indent forces json's pure-Python encoder, so each float or bool column
+    is rendered by one call of the C encoder instead, ints by %d, and the
+    objects are streamed one by one.  The encoder's shortest repr of a
+    float reads back as the same float, as _fmt's 17 digits do.
+    """
+    fields, cells = [], []
+    for name, k, subs in _split(columns):
+        form = "%s" if subs.dtype.kind in "fb" else "%d"
+        fields.append(f'\n      "{name}": ' + (form if k is None else "[\n"
+                      + ",\n".join(["        " + form] * k) + "\n      ]"))
+        cells += [json.dumps(sub)[1:-1].split(", ") if form == "%s" else sub
+                  for sub in subs.tolist()]
+    entry = "\n    {" + ",".join(fields) + "\n    }"
+    head = json.dumps({
         "variant": "shifted" if spec.is_shifted else "standard",
         "n": list(spec.n.entries),
         "kappa": list(spec.kappa) if spec.is_shifted else None,
-    }
-
-
-def _node_rows(ns: NodeSet):
-    """Index, point, weight, parity and face bitmask (bit j: 0 < i_j < m_j)."""
-    faces = _face_mask(ns.indices, ns.spec.m) @ (1 << np.arange(ns.spec.dim))
-    return zip(ns.indices.tolist(), ns.points.tolist(), ns.weights.tolist(),
-               ns.parities.tolist(), faces.tolist())
+    }, indent=2)
+    with _output(path) as out:
+        out.write(head[:-2] + f',\n  "{key}": [')
+        sep = ""
+        for row in zip(*cells):
+            out.write(sep + entry % row)
+            sep = ","
+        out.write("\n  ]\n}\n")
 
 
 def cmd_nodes(args: argparse.Namespace) -> int:
+    """Index, point, weight, parity and face bitmask (bit j: 0 < i_j < m_j)."""
     spec = _spec_from_args(args)
-    node_set = build_node_set(spec)
-    d = spec.dim
-    if args.format == "json":
-        payload = {
-            **_spec_header(spec),
-            "nodes": [
-                {
-                    "index": index,
-                    "point": [float(_fmt(c)) for c in point],
-                    "weight": float(_fmt(weight)),
-                    "parity": parity,
-                    "face_bitmask": face,
-                }
-                for index, point, weight, parity, face in _node_rows(node_set)
-            ],
-        }
-        _write_json(args.out, payload)
+    ns = build_node_set(spec)
+    faces = _face_mask(ns.indices, spec.m) @ (1 << np.arange(spec.dim))
+    as_json = args.format == "json"
+    columns = [("index" if as_json else "i", ns.indices),
+               ("point" if as_json else "x", ns.points),
+               ("weight", ns.weights), ("parity", ns.parities),
+               ("face_bitmask", faces)]
+    if as_json:
+        _write_json(args.out, spec, "nodes", columns)
     else:
-        header = (
-            [f"i_{j + 1}" for j in range(d)]
-            + [f"x_{j + 1}" for j in range(d)]
-            + ["weight", "parity", "face_bitmask"]
-        )
-        rows = (
-            [str(v) for v in index]
-            + [_fmt(c) for c in point]
-            + [_fmt(weight), str(parity), str(face)]
-            for index, point, weight, parity, face in _node_rows(node_set)
-        )
-        _write_csv(args.out, header, rows)
+        _write_csv(args.out, columns)
     return EXIT_OK
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    n = validate_pairwise_coprime(_parse_int_list(args.n))
-    kappa = _parse_int_list(args.kappa) if args.kappa else (0,) * n.dim
-    u = _parse_int_list(args.u) if args.u else (1,) * n.dim
+    n = _parse_int_list(args.n)
+    kappa = _parse_int_list(args.kappa) if args.kappa else (0,) * len(n)
+    u = _parse_int_list(args.u) if args.u else (1,) * len(n)
     curve = LCCurve(n=n, epsilon=args.epsilon, kappa=kappa, u=u)
     points = sample_curve(curve, args.samples, (args.t0, args.t1))
     step = (args.t1 - args.t0) / (args.samples - 1)
-    header = ["t"] + [f"x_{j + 1}" for j in range(n.dim)]
-    rows = (
-        [_fmt(args.t0 + k * step)] + [_fmt(c) for c in pt]
-        for k, pt in enumerate(points)
-    )
-    _write_csv(args.out, header, rows)
+    t = args.t0 + np.arange(args.samples) * step
+    _write_csv(args.out, [("t", t), ("x", points)])
     return EXIT_OK
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     gs = build_gamma(spec)
-    d = spec.dim
+    columns = [("gamma", gs.elements), ("norm_sq", gs.norm_sq),
+               ("special", np.arange(len(gs)) == gs.special_pos)]
     if args.format == "json":
-        payload = {
-            **_spec_header(spec),
-            "elements": [
-                {
-                    "gamma": list(gamma),
-                    "norm_sq": float(gs.norm_sq[pos]),
-                    "special": pos == gs.special_pos,
-                }
-                for pos, gamma in enumerate(gs)
-            ],
-        }
-        _write_json(args.out, payload)
+        _write_json(args.out, spec, "elements", columns)
     else:
-        header = [f"gamma_{j + 1}" for j in range(d)] + ["norm_sq", "special"]
-        rows = (
-            [str(v) for v in gamma]
-            + [_fmt(gs.norm_sq[pos]), str(int(pos == gs.special_pos))]
-            for pos, gamma in enumerate(gs)
-        )
-        _write_csv(args.out, header, rows)
+        _write_csv(args.out, columns)
     return EXIT_OK
 
 
@@ -267,34 +260,11 @@ def _raise_bad_line(path: str, lines: List[str], ints: int, width: int,
     raise LisschebError(f"{path}: {why}")
 
 
-def _write_expansion(path: Optional[str], spec: NodeSpec, expansion) -> None:
-    """Write the expansion JSON in the layout of json.dump(indent=2).
-
-    An indent forces json's pure-Python encoder, so the coefficient values
-    are rendered by one call of the C encoder instead, and the entries are
-    streamed one by one rather than joined into one string.  Python floats
-    survive "%.17g", so the values are those of _fmt.
-    """
-    head = json.dumps(_spec_header(spec), indent=2)
-    values = json.dumps(expansion.coeffs.tolist())[1:-1].split(", ")
-    entry = (
-        '\n    {\n      "gamma": [\n'
-        + ",\n".join(["        %d"] * spec.dim)
-        + '\n      ],\n      "value": %s\n    }'
-    )
-    with _output(path) as out:
-        out.write(head[:-2] + ',\n  "coefficients": [')
-        sep = ""
-        for gamma, value in zip(expansion.gamma_set, values):
-            out.write(sep + entry % (*gamma, value))
-            sep = ","
-        out.write("\n  ]\n}\n")
-
-
 def cmd_interp(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    h = _read_samples(spec, args.data)
-    _write_expansion(args.out, spec, interp.interpolate(h))
+    p = interp.interpolate(_read_samples(spec, args.data))
+    _write_json(args.out, spec, "coefficients",
+                [("gamma", p.gamma_set.elements), ("value", p.coeffs)])
     return EXIT_OK
 
 
@@ -310,7 +280,7 @@ def _load_expansion(path: str):
         except ValueError as exc:
             raise LisschebError(f"{path}: invalid JSON: {exc}") from None
     try:
-        n = validate_pairwise_coprime(payload["n"])
+        n = payload["n"]
         kappa = payload.get("kappa")
         variant = payload.get("variant")
         if variant not in (None, "standard" if kappa is None else "shifted"):
@@ -347,11 +317,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise LisschebError(
             f"{args.points}, line {exc.row + 2}: {exc}"
         ) from None
-    header = [f"x_{j + 1}" for j in range(spec.dim)] + ["value"]
-    _write_csv(args.out, header, (
-        [_fmt(c) for c in x] + [_fmt(v)]
-        for x, v in zip(points.tolist(), values.tolist())
-    ))
+    _write_csv(args.out, [("x", points), ("value", values)])
     return EXIT_OK
 
 

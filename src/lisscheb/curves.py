@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
 from .congruence import DimensionVector, crt_solve, integer_tuple
+from .congruence import validate_pairwise_coprime
 from .errors import IndexOutOfRange, InvalidParameter, InvalidRange, ZeroEntry
 from .nodes import MAX_BOX_CELLS
 from .trig import cos_pi_ratio
@@ -46,7 +47,8 @@ class LCCurve:
     """Node-generating curve with frequencies P_i[n] and phases kappa_i*pi/(eps*n_i).
 
     The epsilon=1 curve with shift kappa coincides pointwise with the
-    epsilon=2 curve with shift 2*kappa.
+    epsilon=2 curve with shift 2*kappa.  ``n``, a DimensionVector or a
+    sequence of integers, is validated as NodeSpec validates it.
     """
 
     n: DimensionVector
@@ -57,9 +59,11 @@ class LCCurve:
     def __post_init__(self):
         if self.epsilon not in (1, 2):
             raise InvalidParameter("epsilon must be 1 or 2")
-        d = self.n.dim
-        integer_tuple(self.kappa, "kappa")
-        if len(self.kappa) != d or len(self.u) != d:
+        n = validate_pairwise_coprime(getattr(self.n, "entries", self.n))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "kappa", integer_tuple(self.kappa, "kappa"))
+        object.__setattr__(self, "u", integer_tuple(self.u, "sign"))
+        if len(self.kappa) != n.dim or len(self.u) != n.dim:
             raise InvalidParameter("kappa and u must match the dimension of n")
         if any(s not in (-1, 1) for s in self.u):
             raise InvalidParameter("signs must be -1 or +1")

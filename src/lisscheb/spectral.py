@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .congruence import integer_tuple
-from .errors import NotInGammaSet
+from .errors import InvalidParameter, NotInGammaSet
 from .nodes import NodeSpec, check_box_size, int_tuples
 
 SpectralIndex = Tuple[int, ...]
@@ -166,8 +166,12 @@ def involution(m: Tuple[int, ...], gamma: SpectralIndex) -> SpectralIndex:
     The dominant dimension k is the largest index attaining the maximum of
     gamma_i/m_i; the image replaces gamma_k by m_k - gamma_k.  On the
     odd-parity part of the spectral set this map is an involution pairing
-    it with the complement of the even part.
+    it with the complement of the even part.  Raises InvalidParameter for
+    an m or gamma that is not integers, or a gamma not as long as m.
     """
+    m, gamma = integer_tuple(m, "m"), integer_tuple(gamma, "gamma")
+    if not gamma or len(gamma) != len(m):
+        raise InvalidParameter(f"gamma {gamma} must have one entry per m_i")
     k = 0
     for i in range(1, len(gamma)):
         # gamma_i/m_i >= gamma_k/m_k, compared in integers.

@@ -249,8 +249,12 @@ def alias_integral(spec: NodeSpec, gamma: SpectralIndex) -> int:
 
     Nonzero only when every gamma_i is the n_i-th (standard) or 2n_i-th
     (shifted) multiple h_i with even sum of the h_i; the value is then 1,
-    with an extra sign (-1)^(sum h_i kappa_i) in the shifted case.
+    with an extra sign (-1)^(sum h_i kappa_i) in the shifted case.  Raises
+    InvalidParameter for a gamma that is not d integers.
     """
+    gamma = integer_tuple(gamma, "gamma")
+    if len(gamma) != spec.dim:
+        raise InvalidParameter(f"gamma {gamma} must have {spec.dim} entries")
     step = 2 if spec.is_shifted else 1
     hs = []
     for g, ni in zip(gamma, spec.n.entries):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from lisscheb import cli, verify
 from lisscheb.cli import main
 from lisscheb.congruence import validate_pairwise_coprime
+from lisscheb.curves import LCCurve, lc_eval
 from lisscheb.interp import ChebExpansion, expansion_eval, interpolate
 from lisscheb.nodes import MAX_BOX_CELLS, NodeSpec, build_node_set
 from lisscheb.spectral import build_gamma
@@ -147,20 +149,49 @@ def test_interp_eval_roundtrip(tmp_path):
         assert float(row[2]) == pytest.approx(fn(node.point), abs=1e-10)
 
 
-def _reference_payload(spec, fn):
-    """The interp document as json.dump(indent=2) wrote it from a dict."""
-    ns = build_node_set(spec)
-    values = {node.index: float("%.17g" % fn(node.point)) for node in ns.nodes}
-    expansion = interpolate(SampleVector(spec=spec, values=values))
-    return {
+def _reference_document(spec, command, fn=None):
+    """The nodes, gamma or interp (of fn) document as json.dump(indent=2)
+    wrote it from a dict."""
+    if command == "nodes":
+        key, entries = "nodes", [
+            {"index": list(node.index), "point": list(node.point),
+             "weight": node.weight, "parity": node.parity,
+             "face_bitmask": sum(1 << j for j in node.face)}
+            for node in build_node_set(spec).nodes
+        ]
+    elif command == "gamma":
+        gs = build_gamma(spec)
+        key, entries = "elements", [
+            {"gamma": list(gamma), "norm_sq": float(norm_sq),
+             "special": gamma == gs.special}
+            for gamma, norm_sq in zip(gs, gs.norm_sq)
+        ]
+    else:
+        ns = build_node_set(spec)
+        values = {node.index: float("%.17g" % fn(node.point))
+                  for node in ns.nodes}
+        expansion = interpolate(SampleVector(spec=spec, values=values))
+        key, entries = "coefficients", [
+            {"gamma": list(gamma), "value": float("%.17g" % value)}
+            for gamma, value in zip(expansion.gamma_set, expansion.coeffs)
+        ]
+    return json.dumps({
         "variant": "shifted" if spec.is_shifted else "standard",
         "n": list(spec.n.entries),
         "kappa": list(spec.kappa) if spec.is_shifted else None,
-        "coefficients": [
-            {"gamma": list(gamma), "value": float("%.17g" % value)}
-            for gamma, value in zip(expansion.gamma_set, expansion.coeffs)
-        ],
-    }
+        key: entries,
+    }, indent=2) + "\n"
+
+
+def _reference_table(header, rows):
+    """A table as csv.writer writes it, with floats in 17 digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [c if isinstance(c, int) else "%.17g" % c for c in row] for row in rows
+    )
+    return buf.getvalue()
 
 
 def _spec_argv(spec):
@@ -176,18 +207,94 @@ def _spec_argv(spec):
     ((5, 3), (0, 1)),
     ((7, 5, 3, 2), None),
     ((9, 7, 4), (1, 0, 0)),
+    ((12,), None),
 ])
 def test_interp_json_layout(tmp_path, capsys, nv, kappa):
     spec = NodeSpec(n=validate_pairwise_coprime(nv), kappa=kappa)
     fn = lambda x: math.exp(x[0]) * math.cos(3 * x[-1]) - 0.25
     data, _ = _write_node_data(tmp_path, spec, fn)
-    want = json.dumps(_reference_payload(spec, fn), indent=2) + "\n"
+    want = _reference_document(spec, "interp", fn)
     out = tmp_path / "expansion.json"
     argv = ["interp", "--data", str(data)] + _spec_argv(spec)
     assert run(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == want.encode()
     assert run(argv) == 0
     assert capsys.readouterr().out == want
+
+
+LAYOUT_SPECS = [
+    ((5, 3), None),
+    ((5, 3), (0, 1)),
+    ((12,), None),
+    ((7, 5, 3, 2), None),
+    ((9, 7, 4), (1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("nv, kappa", LAYOUT_SPECS)
+@pytest.mark.parametrize("command", ["nodes", "gamma"])
+def test_json_layout(tmp_path, capsys, command, nv, kappa):
+    spec = NodeSpec(n=nv, kappa=kappa)
+    want = _reference_document(spec, command)
+    out = tmp_path / "out.json"
+    argv = [command, "--format", "json"] + _spec_argv(spec)
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("nv, kappa", LAYOUT_SPECS)
+def test_csv_layout(tmp_path, nv, kappa):
+    spec = NodeSpec(n=nv, kappa=kappa)
+    d = spec.dim
+    names = lambda name: [f"{name}_{j + 1}" for j in range(d)]
+    gs = build_gamma(spec)
+    want = {
+        "nodes": _reference_table(
+            names("i") + names("x") + ["weight", "parity", "face_bitmask"],
+            ([*node.index, *node.point, node.weight, node.parity,
+              sum(1 << j for j in node.face)]
+             for node in build_node_set(spec).nodes)),
+        "gamma": _reference_table(
+            names("gamma") + ["norm_sq", "special"],
+            ([*gamma, float(norm_sq), int(gamma == gs.special)]
+             for gamma, norm_sq in zip(gs, gs.norm_sq))),
+    }
+    for command, text in want.items():
+        out = tmp_path / f"{command}.csv"
+        assert run([command, "--out", str(out)] + _spec_argv(spec)) == 0
+        assert out.read_bytes() == text.encode()
+
+    # The generating curve of the spec's family, with alternating signs.
+    epsilon, shift = (2, spec.kappa) if spec.is_shifted else (1, (0,) * d)
+    u = [(-1) ** j for j in range(d)]
+    curve = LCCurve(n=spec.n, epsilon=epsilon, kappa=shift, u=u)
+    step = (4.25 - -0.5) / 36
+    ts = [-0.5 + k * step for k in range(37)]
+    out = tmp_path / "curve.csv"
+    assert run([
+        "curve", "--n", ",".join(map(str, spec.n.entries)),
+        "--epsilon", str(epsilon), "--kappa", ",".join(map(str, shift)),
+        "--u", ",".join(map(str, u)), "--samples", "37",
+        "--t0", "-0.5", "--t1", "4.25", "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == _reference_table(
+        ["t"] + names("x"), ([t, *lc_eval(curve, t)] for t in ts)
+    ).encode()
+
+    expansion = _expansion_file(tmp_path, spec)
+    payload = json.loads(expansion.read_text())
+    p = ChebExpansion(gamma_set=gs, coeffs={
+        tuple(e["gamma"]): e["value"] for e in payload["coefficients"]
+    })
+    points = np.random.default_rng(41).uniform(-1, 1, size=(25, d)).tolist()
+    out = tmp_path / "values.csv"
+    assert run(["eval", "--expansion", str(expansion), "--points",
+                str(_points_file(tmp_path, points)), "--out", str(out)]) == 0
+    assert out.read_bytes() == _reference_table(
+        names("x") + ["value"], ([*x, expansion_eval(p, x)] for x in points)
+    ).encode()
 
 
 def test_interp_memory_is_streamed(tmp_path):
@@ -206,6 +313,22 @@ def test_interp_memory_is_streamed(tmp_path):
         tracemalloc.stop()
     assert peak < 4.96e6
     assert len(json.loads(out.read_text())["coefficients"]) == 8385
+
+
+def test_nodes_json_memory_is_streamed(tmp_path):
+    # The nodes document of (129,128) is about 2.3 MB.  json.dump of a
+    # payload dict peaked at 5.43 MB, and streaming the rows, each float
+    # column rendered by one call of the C encoder, at about 3.0 MB.
+    out = tmp_path / "nodes.json"
+    argv = ["nodes", "--n", "129,128", "--format", "json", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert len(json.loads(out.read_text())["nodes"]) == 8385
 
 
 def _expansion_file(tmp_path, spec):
@@ -753,8 +876,19 @@ def _run_process(argv):
 def test_cli_as_a_process(tmp_path, capsys):
     data, _ = _write_node_data(tmp_path, NodeSpec(n=N53),
                                lambda x: x[0] - 2.0 * x[1] ** 2)
-    for command in ("quad", "interp"):
-        argv = [command, "--n", "5,3", "--data", str(data)]
+    expansion = tmp_path / "expansion.json"
+    assert run(["interp", "--n", "5,3", "--data", str(data),
+                "--out", str(expansion)]) == 0
+    points = _points_file(tmp_path, [[0.25, -0.5], [1.0, -1.0]])
+    shifted = ["--variant", "shifted", "--n", "5,3", "--kappa", "0,1"]
+    for argv in (
+        ["quad", "--n", "5,3", "--data", str(data)],
+        ["interp", "--n", "5,3", "--data", str(data)],
+        ["nodes", *shifted], ["nodes", *shifted, "--format", "json"],
+        ["gamma", *shifted], ["gamma", *shifted, "--format", "json"],
+        ["curve", "--n", "5,3", "--samples", "11"],
+        ["eval", "--expansion", str(expansion), "--points", str(points)],
+    ):
         proc = _run_process(argv)
         assert run(argv) == 0
         assert (proc.returncode, proc.stderr) == (0, "")

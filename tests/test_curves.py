@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lisscheb.congruence import validate_pairwise_coprime
+from lisscheb.congruence import DimensionVector, validate_pairwise_coprime
 from lisscheb.curves import (
     GeneralCurve,
     LCCurve,
@@ -18,7 +18,8 @@ from lisscheb.curves import (
     self_intersection_counts,
     total_node_count,
 )
-from lisscheb.errors import IndexOutOfRange, InvalidParameter, InvalidRange
+from lisscheb.errors import CoprimalityViolation, IndexOutOfRange, InvalidParameter
+from lisscheb.errors import InvalidRange
 from lisscheb.nodes import MAX_BOX_CELLS, NodeSpec, variety_membership
 
 N53 = validate_pairwise_coprime((5, 3))
@@ -56,6 +57,25 @@ def test_lc_curve_rejects_bad_parameters():
         LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 2))
     with pytest.raises(InvalidParameter, match="integers"):
         LCCurve(n=N53, epsilon=2, kappa=(0.5, 0), u=(1, 1))
+
+
+def test_lc_curve_validates_n_as_node_spec_does():
+    curve = LCCurve(n=(5, 3), epsilon=2, kappa=[0, 1], u=[1, -1])
+    assert curve == LCCurve(n=N53, epsilon=2, kappa=(0, 1), u=(1, -1))
+    assert sample_curve(curve, 5) == sample_curve(
+        LCCurve(n=N53, epsilon=2, kappa=(0, 1), u=(1, -1)), 5)
+
+
+def test_lc_curve_revalidates_a_hand_built_dimension_vector():
+    forged = DimensionVector(entries=(4, 2), product=8, coproducts=(2, 4))
+    with pytest.raises(CoprimalityViolation):
+        LCCurve(n=forged, epsilon=1, kappa=(0, 0), u=(1, 1))
+
+
+@pytest.mark.parametrize("u", [(1.0, 1), (1, True), (1, -1.0)])
+def test_lc_curve_signs_must_be_integers(u):
+    with pytest.raises(InvalidParameter, match="integers"):
+        LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=u)
 
 
 def test_lc_eval_examples():

@@ -24,7 +24,7 @@ from lisscheb.errors import (
 from lisscheb.interp import interpolate
 from lisscheb.nodes import NodeSpec, build_node_set
 from lisscheb.quad import integrate
-from lisscheb.spectral import build_gamma
+from lisscheb.spectral import build_gamma, involution
 from lisscheb.transform import (
     SampleVector,
     aligned_values,
@@ -147,6 +147,22 @@ def test_alias_integral_examples():
 
     even_shift = NodeSpec(n=N53, kappa=(0, 0))
     assert alias_integral(even_shift, (10, 6)) == 1
+
+
+@pytest.mark.parametrize("fn, args", [
+    (alias_integral, (NodeSpec(n=N53), (10,))),
+    (alias_integral, (NodeSpec(n=N53), (5, 3, 7))),
+    (alias_integral, (NodeSpec(n=N53), (5.0, 3.0))),
+    (alias_integral, (NodeSpec(n=N53, kappa=(0, 1)), (10, True))),
+    (involution, ((5, 3), (1, 2, 9))),
+    (involution, ((5, 3), (1.5, 0))),
+    (involution, ((5, 3), (1,))),
+], ids=["short", "long", "float", "bool", "involution-long",
+        "involution-float", "involution-short"])
+def test_gamma_must_be_d_integers(fn, args):
+    # zip cut a gamma to the spec's length, and floats passed through.
+    with pytest.raises(InvalidParameter, match="gamma"):
+        fn(*args)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS[:2] + ALL_SPECS[4:6])
