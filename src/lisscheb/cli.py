@@ -21,7 +21,7 @@ from typing import List, NoReturn, Optional, Sequence, Tuple
 import numpy as np
 
 from . import interp, quad, transform, verify
-from .curves import LCCurve, sample_curve
+from .curves import LCCurve, curve_parameters, lc_eval
 from .errors import DomainViolation, LisschebError
 from .nodes import NodeSpec, _face_mask, build_node_set, int_tuples
 from .spectral import build_gamma
@@ -32,6 +32,9 @@ EXIT_IO = 2
 
 
 _fmt = "%.17g".__mod__  # 17 digits read back as the same float64
+# Rows that _write_csv turns into Python objects at a time, which bounds
+# its memory; 1024 rows of (129, 128)'s Γ take about 0.15 MB.
+_CSV_BLOCK_ROWS = 1024
 
 
 def _parse_int_list(text: str) -> Tuple[int, ...]:
@@ -87,17 +90,20 @@ def _write_csv(path: Optional[str], columns) -> None:
 
     An (N,) array is the column name and an (N, k) array the columns
     name_1..name_k.  Floats are written by _fmt, ints and bools as
-    integers, and each row is formatted when it is written.
+    integers; the columns become Python objects one block of rows at a time.
     """
-    names, cells = [], []
+    names, parts = [], []
     for name, k, subs in _split(columns):
         names += [name] if k is None else [f"{name}_{j + 1}" for j in range(k)]
-        form = _fmt if subs.dtype.kind == "f" else "%d".__mod__
-        cells += [map(form, sub) for sub in subs.tolist()]
+        parts.append((_fmt if subs.dtype.kind == "f" else "%d".__mod__, subs))
+    rows = parts[0][1].shape[1]
     with _output(path) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(names)
-        writer.writerows(zip(*cells))
+        for lo in range(0, rows, _CSV_BLOCK_ROWS):
+            block = slice(lo, lo + _CSV_BLOCK_ROWS)
+            writer.writerows(zip(*[map(form, sub) for form, subs in parts
+                                   for sub in subs[:, block].tolist()]))
 
 
 def _write_json(path: Optional[str], spec: NodeSpec, key: str,
@@ -155,10 +161,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     kappa = _parse_int_list(args.kappa) if args.kappa else (0,) * len(n)
     u = _parse_int_list(args.u) if args.u else (1,) * len(n)
     curve = LCCurve(n=n, epsilon=args.epsilon, kappa=kappa, u=u)
-    points = sample_curve(curve, args.samples, (args.t0, args.t1))
-    step = (args.t1 - args.t0) / (args.samples - 1)
-    t = args.t0 + np.arange(args.samples) * step
-    _write_csv(args.out, [("t", t), ("x", points)])
+    t = curve_parameters(curve, args.samples, (args.t0, args.t1))
+    _write_csv(args.out, [("t", t), ("x", [lc_eval(curve, ti) for ti in t])])
     return EXIT_OK
 
 

@@ -10,6 +10,8 @@ kappa and a scale epsilon in {1, 2}.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -34,12 +36,32 @@ class GeneralCurve:
         q = integer_tuple(self.q, "frequency")
         if not q:
             raise ZeroEntry("frequency tuple must be non-empty")
-        if len(self.alpha) != len(q) or len(self.u) != len(q):
+        alpha, u = _phases(self.alpha), integer_tuple(self.u, "sign")
+        if len(alpha) != len(q) or len(u) != len(q):
             raise InvalidParameter("q, alpha and u must have equal length")
         if math.gcd(*q) != 1:
             raise InvalidParameter("frequencies must have overall gcd 1")
-        if any(s not in (-1, 1) for s in self.u):
+        if any(s not in (-1, 1) for s in u):
             raise InvalidParameter("signs must be -1 or +1")
+        for name, value in ("q", q), ("alpha", alpha), ("u", u):
+            object.__setattr__(self, name, value)
+
+
+def _phases(alpha) -> Tuple[float, ...]:
+    """alpha as a tuple of floats; InvalidParameter for a value that is not
+    a finite real number (a bool, a string, None, a complex number)."""
+    if not isinstance(alpha, Iterable):
+        raise InvalidParameter(f"phases must be a sequence, got {alpha!r}")
+    out = []
+    for a in alpha:
+        try:
+            finite = not isinstance(a, bool) and math.isfinite(a)
+        except (TypeError, OverflowError):  # not a number; an int past floats
+            finite = False
+        if not finite or not isinstance(a, numbers.Real):
+            raise InvalidParameter(f"phases must be finite reals, got {a!r}")
+        out.append(float(a))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -234,7 +256,15 @@ def sample_curve(
     num_samples: int,
     t_range: Tuple[float, float] = (0.0, 2.0 * math.pi),
 ) -> List[Point]:
-    """Sample the curve at equispaced parameters over [t0, t1].
+    """Sample the curve at curve_parameters(curve, num_samples, t_range)."""
+    t = curve_parameters(curve, num_samples, t_range)
+    return [lc_eval(curve, ti) for ti in t]
+
+
+def curve_parameters(
+    curve: LCCurve, num_samples: int, t_range: Tuple[float, float]
+) -> List[float]:
+    """num_samples equispaced parameters over [t0, t1], both ends included.
 
     Raises InvalidRange for fewer than two or more than MAX_BOX_CELLS
     samples, a reversed range, and a range whose ends are NaN or infinite or
@@ -257,4 +287,4 @@ def sample_curve(
         raise InvalidRange(f"need from 2 to {MAX_BOX_CELLS} samples, "
                            f"got {num_samples}")
     step = (t1 - t0) / (num_samples - 1)
-    return [lc_eval(curve, t0 + i * step) for i in range(num_samples)]
+    return [t0 + i * step for i in range(num_samples)]

@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +41,13 @@ MultiIndex = Tuple[int, ...]
 MAX_BOX_CELLS = 1 << 24
 
 _DOMAIN_SLACK = 1e-12
+
+# Γ, node lookups and Γ grids as (value, bytes) by (kind, spec), least
+# recently used first: a (513, 512) lookup takes 20 MB, so count bytes.
+SPEC_CACHE_BYTES = 64 << 20
+_cache: "OrderedDict[Tuple[str, NodeSpec], Tuple[object, int]]" = OrderedDict()
+_cache_bytes = 0
+_cache_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -104,9 +115,9 @@ class NodeSet:
     """The full enumerated node family, ordered lexicographically by index.
 
     ``indices``, ``points``, ``weights`` and ``parities`` are parallel
-    arrays.  The Node list and the index-to-position lookup are built on
-    first access and kept on the instance; the fields are frozen, so they
-    stay in step with ``indices``.
+    arrays.  The Node list and the spec's index-to-position lookup are
+    taken on first access and kept on the instance; the fields are frozen,
+    so they stay in step with ``indices``.
     """
 
     spec: NodeSpec
@@ -133,11 +144,40 @@ class NodeSet:
         return self._nodes
 
     @property
-    def lookup(self) -> Dict[MultiIndex, int]:
+    def lookup(self) -> Mapping[MultiIndex, int]:
+        """Read-only map of index tuples to positions, shared per spec."""
         if "_lookup" not in vars(self):
-            lookup = dict(zip(int_tuples(self.indices), range(len(self))))
+            lookup = spec_cached("lookup", self.spec, self._new_lookup)
             object.__setattr__(self, "_lookup", lookup)
         return self._lookup
+
+    def _new_lookup(self):
+        """The lookup and its bytes: table, key tuples and ints past 256."""
+        lookup = dict(zip(int_tuples(self.indices), range(len(self))))
+        ints = max(len(self) - 257, 0) + np.count_nonzero(self.indices > 256)
+        size = sys.getsizeof(lookup) + sys.getsizeof(257) * int(ints)
+        size += len(self) * sys.getsizeof(next(iter(lookup)))
+        return MappingProxyType(lookup), size
+
+
+def spec_cached(kind: str, spec: NodeSpec, build):
+    """The spec's value of a kind; build() gives (value, bytes) on a miss.
+
+    A value over SPEC_CACHE_BYTES is returned but not kept.  build runs
+    under the lock: a second caller waits rather than builds again.
+    """
+    global _cache_bytes
+    with _cache_lock:
+        if (kind, spec) in _cache:
+            _cache.move_to_end((kind, spec))
+            return _cache[kind, spec][0]
+        value, size = build()
+        if size <= SPEC_CACHE_BYTES:
+            _cache[kind, spec] = value, size
+            _cache_bytes += size
+            while _cache_bytes > SPEC_CACHE_BYTES:
+                _cache_bytes -= _cache.popitem(last=False)[1][1]
+        return value
 
 
 def _face_mask(indices: np.ndarray, m: Sequence[int]) -> np.ndarray:

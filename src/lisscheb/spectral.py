@@ -12,8 +12,6 @@ blur it.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -21,17 +19,9 @@ import numpy as np
 
 from .congruence import integer_tuple
 from .errors import InvalidParameter, NotInGammaSet
-from .nodes import NodeSpec, check_box_size, int_tuples
+from .nodes import NodeSpec, check_box_size, int_tuples, spec_cached
 
 SpectralIndex = Tuple[int, ...]
-
-# Most bytes of GammaSet arrays that build_gamma keeps; (513, 512)'s set
-# takes 4.2 MB, and a 2-D set near MAX_BOX_CELLS 270 MB, so count bytes.
-GAMMA_CACHE_BYTES = 64 << 20
-# (set, bytes) by spec, least recently used first, and the bytes in all.
-_cache: "OrderedDict[NodeSpec, Tuple[GammaSet, int]]" = OrderedDict()
-_cache_bytes = 0
-_cache_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,17 +59,23 @@ class GammaSet:
         A row that is not a member maps to -1.  Entries may be Python ints
         of any size in an object array: each is clamped to [-1, max(m) + 1]
         first, which keeps an entry outside the box outside and makes it
-        fit int64.  Members are found in a box grid of positions.
+        fit int64.  Members are found in the spec's box grid of positions.
         """
         dims = np.array(self.spec.m) + 1
         rows = np.asarray(rows).clip(-1, dims.max()).astype(np.int64)
         inside = ((rows >= 0) & (rows < dims)).all(axis=1)
-        grid = np.full(int(np.prod(dims)), -1, dtype=np.intp)
-        flat = np.ravel_multi_index(self.elements.T, dims)
-        grid[flat] = np.arange(len(self))
+        grid = spec_cached("gamma grid", self.spec, self._new_grid)
         out = np.full(rows.shape[0], -1, dtype=np.intp)
         out[inside] = grid[np.ravel_multi_index(rows[inside].T, dims)]
         return out
+
+    def _new_grid(self) -> Tuple[np.ndarray, int]:
+        """The position of each cell of the box [0, m] in the set, or -1."""
+        dims = np.array(self.spec.m) + 1
+        grid = np.full(int(np.prod(dims)), -1, dtype=np.intp)
+        grid[np.ravel_multi_index(self.elements.T, dims)] = np.arange(len(self))
+        grid.setflags(write=False)
+        return grid, grid.nbytes
 
 
 def _pairwise_keep(spec: NodeSpec, cols) -> np.ndarray:
@@ -106,27 +102,20 @@ def _pairwise_keep(spec: NodeSpec, cols) -> np.ndarray:
 def build_gamma(spec: NodeSpec) -> GammaSet:
     """The spectral set of a spec, enumerated once and then reused.
 
-    Equal specs get the same GammaSet while it is kept.  Sets are kept up
-    to GAMMA_CACHE_BYTES of arrays in all, least recently used dropped
-    first; a larger set is returned but not kept.
+    Equal specs get the same GammaSet while nodes.spec_cached keeps it,
+    its arrays counted against the budget it shares with node lookups and
+    Γ grids; a set over the budget is returned but not kept.
     """
-    global _cache_bytes
-    # Built under the lock: a second caller waits rather than builds again.
-    with _cache_lock:
-        if spec in _cache:
-            _cache.move_to_end(spec)
-            return _cache[spec][0]
-        gs = _enumerate_gamma(spec)
-        arrays = (gs.elements, gs.norm_sq, gs.e_counts)
-        for array in arrays:
-            array.setflags(write=False)
-        size = sum(array.nbytes for array in arrays)
-        if size <= GAMMA_CACHE_BYTES:
-            _cache[spec] = gs, size
-            _cache_bytes += size
-            while _cache_bytes > GAMMA_CACHE_BYTES:
-                _cache_bytes -= _cache.popitem(last=False)[1][1]
-        return gs
+    return spec_cached("gamma", spec, lambda: _new_gamma(spec))
+
+
+def _new_gamma(spec: NodeSpec) -> Tuple[GammaSet, int]:
+    """The spec's set with its arrays made read-only, and their bytes."""
+    gs = _enumerate_gamma(spec)
+    arrays = (gs.elements, gs.norm_sq, gs.e_counts)
+    for array in arrays:
+        array.setflags(write=False)
+    return gs, sum(array.nbytes for array in arrays)
 
 
 def _enumerate_gamma(spec: NodeSpec) -> GammaSet:

@@ -17,7 +17,8 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import getitem
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -106,7 +107,11 @@ def coefficient_rows(gamma_set: GammaSet, gammas, values) -> np.ndarray:
         or set(map(type, chain.from_iterable(gammas))) - {int}
     ):
         _check_rows(gammas, d)
-    rows = np.fromiter(chain.from_iterable(gammas), object, len(gammas) * d)
+    size = len(gammas) * d
+    try:
+        rows = np.fromiter(chain.from_iterable(gammas), np.int64, size)
+    except OverflowError:  # an entry beyond int64, which positions clamps
+        rows = np.fromiter(chain.from_iterable(gammas), object, size)
     pos = gamma_set.positions(rows.reshape(-1, d))
     if (pos < 0).any():
         row = int(np.argmin(pos))
@@ -223,9 +228,10 @@ def aligned_values(
         raise IndexOutOfRange(
             f"sample vector has {len(h.values)} entries, expected {n}"
         )
-    lookup = node_set.lookup
+    # getitem reaches the lookup's dict faster than the proxy's __getitem__.
+    lookups = repeat(node_set.lookup, n)
     try:
-        pos = np.fromiter(map(lookup.__getitem__, h.values), np.intp, n)
+        pos = np.fromiter(map(getitem, lookups, h.values), np.intp, n)
     except KeyError as exc:
         raise IndexOutOfRange(
             f"sample index {exc.args[0]} is not in the index set"

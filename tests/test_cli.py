@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lisscheb import cli, verify
+from lisscheb import cli, nodes, verify
 from lisscheb.cli import main
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.curves import LCCurve, lc_eval
@@ -331,6 +332,25 @@ def test_nodes_json_memory_is_streamed(tmp_path):
     assert len(json.loads(out.read_text())["nodes"]) == 8385
 
 
+@pytest.mark.parametrize("command, bound", [("gamma", 0.45e6),
+                                            ("nodes", 1.2e6)])
+def test_csv_memory_is_converted_in_blocks(tmp_path, command, bound):
+    # Listing every column before the first row peaked at 0.67 MB (gamma)
+    # and 1.65 MB (nodes) for (129,128); blocks of rows at 0.26 and 0.71 MB.
+    out = tmp_path / f"{command}.csv"
+    argv = [command, "--n", "129,128", "--out", str(out)]
+    assert run(argv) == 0  # fills the spec's cache outside the trace
+    want = out.read_bytes()
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert out.read_bytes() == want and want.count(b"\n") == 8386
+
+
 def _expansion_file(tmp_path, spec):
     """Interpolate a smooth function with ``lisscheb interp``; the path."""
     fn = lambda x: math.exp(x[0]) * math.cos(3 * x[-1]) - 0.25
@@ -418,6 +438,40 @@ def test_header_cells_may_carry_blanks(tmp_path, capsys):
     data.write_text(" i_1 ,\ti_2, value\r\n" + rows)
     assert run(["quad", "--n", "5,3", "--data", str(data)]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("nv, kappa", [
+    ((5, 3), None), ((9, 7, 4), (1, 0, 0)), ((7, 5, 3, 2), None),
+])
+def test_output_is_the_same_on_a_cold_and_a_warm_cache(
+    tmp_path, capsys, monkeypatch, nv, kappa
+):
+    spec = NodeSpec(n=validate_pairwise_coprime(nv), kappa=kappa)
+    fn = lambda x: math.exp(x[0]) * math.cos(3 * x[-1]) - 0.25
+    data, _ = _write_node_data(tmp_path, spec, fn)
+    expansion = _expansion_file(tmp_path, spec)
+    rng = np.random.default_rng(3)
+    points = _points_file(tmp_path, rng.uniform(-1, 1, (20, spec.dim)))
+    out = tmp_path / "out.txt"
+    commands = {
+        "interp": ["interp", "--data", str(data)] + _spec_argv(spec),
+        "quad": ["quad", "--data", str(data)] + _spec_argv(spec),
+        "eval": ["eval", "--expansion", str(expansion),
+                 "--points", str(points)],
+    }
+    for name, argv in commands.items():
+        written = []
+        for warm in (False, True):
+            if not warm:  # Γ, lookups and Γ grids all dropped
+                monkeypatch.setattr(nodes, "_cache", OrderedDict())
+                monkeypatch.setattr(nodes, "_cache_bytes", 0)
+            assert run(argv + ["--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1], name
+        assert ("lookup" if name != "eval" else "gamma grid", spec) in (
+            nodes._cache
+        )
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_empty_points_file_exit_1(tmp_path, capsys):

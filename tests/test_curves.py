@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +49,34 @@ def test_general_curve_requires_gcd_one():
 def test_general_curve_requires_integer_frequencies(q):
     with pytest.raises(InvalidParameter):
         GeneralCurve(q=q, alpha=(0.0, 0.0), u=(1, 1))
+
+
+@pytest.mark.parametrize("alpha, u, match", [
+    ((0.0, 0.0), (1.0, True), "integers"),
+    ((0.0, 0.0), (1, True), "integers"),
+    ((0.0, 0.0), (1, 1.0), "integers"),
+    (("a", None), (1, 1), "finite reals"),
+    ((0.0, None), (1, 1), "finite reals"),
+    ((0.0, math.nan), (1, 1), "finite reals"),
+    ((-math.inf, 0.0), (1, 1), "finite reals"),
+    ((0.0, 10**400), (1, 1), "finite reals"),
+    ((0.0, 1j), (1, 1), "finite reals"),
+    ((True, 0.0), (1, 1), "finite reals"),
+    (0.5, (1, 1), "sequence"),
+    ((0.0,), (1, 1), "equal length"),
+])
+def test_general_curve_checks_phases_and_signs(alpha, u, match):
+    with pytest.raises(InvalidParameter, match=match):
+        GeneralCurve(q=(1, 2), alpha=alpha, u=u)
+
+
+def test_general_curve_keeps_plain_numbers():
+    c = GeneralCurve(q=[np.int64(1), 2], alpha=[np.float64(0.5), 3],
+                     u=(np.int64(-1), 1))
+    assert c == GeneralCurve(q=(1, 2), alpha=(0.5, 3.0), u=(-1, 1))
+    assert [type(v) for v in c.q + c.u] == [int] * 4
+    assert [type(v) for v in c.alpha] == [float] * 2
+    assert general_eval(c, 0.25) == (-math.cos(0.25 - 0.5), math.cos(0.5 - 3))
 
 
 def test_lc_curve_rejects_bad_parameters():

@@ -27,6 +27,7 @@ from lisscheb.nodes import (
     class_map_shifted,
     check_points,
     class_map_standard,
+    int_tuples,
     variety_membership,
 )
 from lisscheb.spectral import build_gamma
@@ -382,6 +383,31 @@ def test_nodes_match_a_per_element_reference(spec):
             assert type(a) is type(b), name
             if isinstance(a, tuple):
                 assert list(map(type, a)) == list(map(type, b)), name
+
+
+def test_equal_specs_share_one_read_only_lookup():
+    ns = build_node_set(NodeSpec(n=N53))
+    lookup = ns.lookup
+    assert build_node_set(NodeSpec(n=(5, 3))).lookup is lookup
+    assert lookup == dict(zip(int_tuples(ns.indices), range(len(ns))))
+    with pytest.raises(TypeError):
+        lookup[(0, 0)] = 7
+    with pytest.raises(TypeError):
+        del lookup[(0, 0)]
+    assert lookup[(0, 0)] == 0
+    # Each family of the same n has its own lookup.
+    shifted = [build_node_set(NodeSpec(n=N53, kappa=k)) for k in [(0, 1), (0, 0)]]
+    assert len({id(lookup)} | {id(other.lookup) for other in shifted}) == 3
+    for other in shifted:
+        assert list(other.lookup) == list(int_tuples(other.indices))
+
+
+@given(small_specs())
+@settings(max_examples=60, deadline=None)
+def test_lookup_is_the_index_to_position_dict(spec):
+    ns = build_node_set(spec)
+    assert ns.lookup == dict(zip(int_tuples(ns.indices), range(len(ns))))
+    assert list(ns.lookup.values()) == list(range(len(ns)))
 
 
 def test_node_set_fields_are_frozen():

@@ -1,7 +1,6 @@
 import itertools
 import sys
 import threading
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,7 @@ from strategies import small_specs
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import InvalidParameter, NotInGammaSet
 from lisscheb.nodes import NodeSpec, build_node_set
-from lisscheb import spectral
+from lisscheb import nodes, spectral, transform
 from lisscheb.spectral import (
     build_gamma,
     involution,
@@ -217,6 +216,35 @@ def test_positions_maps_rows_to_the_set(spec):
     assert gs.positions(np.empty((0, spec.dim), np.int64)).shape == (0,)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_positions_maps_int64_and_object_rows_alike(spec):
+    gs = build_gamma(spec)
+    rng = np.random.default_rng(5)
+    span = max(spec.m) + 3
+    rows = rng.integers(-3, span, size=(200, spec.dim))
+    rows = np.vstack([gs.elements, rows, -rows, rows + max(spec.m)])
+    want = gs.positions(rows)
+    assert want.dtype == np.intp and (want >= 0).sum() >= len(gs)
+    assert np.array_equal(gs.positions(rows.astype(object)), want)
+    # Entries past int64 only come in object rows; they are outside.
+    huge = rows.astype(object)
+    huge[::3, 0] = 2**63
+    huge[1::3, -1] = -(2**70)
+    want[::3] = want[1::3] = -1
+    assert np.array_equal(gs.positions(huge), want)
+    # coefficient_rows reads both through positions.
+    gammas = gs.elements.tolist()
+    values = np.arange(len(gs), dtype=np.float64)
+    assert np.array_equal(
+        transform.coefficient_rows(gs, gammas, values.tolist()), values
+    )
+    for big in (2**63, -(2**63) - 1, 10**30):
+        with pytest.raises(NotInGammaSet) as err:
+            transform.coefficient_rows(gs, gammas + [[big] * spec.dim],
+                                       values.tolist() + [1.0])
+        assert err.value.row == len(gs)
+
+
 @pytest.mark.parametrize(
     "spec", ALL_SPECS + [NodeSpec(n=validate_pairwise_coprime((4,)))]
 )
@@ -264,13 +292,6 @@ def _spec(n, kappa=None):
 
 def _nbytes(gs):
     return gs.elements.nbytes + gs.norm_sq.nbytes + gs.e_counts.nbytes
-
-
-@pytest.fixture
-def empty_cache(monkeypatch):
-    """A fresh, empty spectral-set cache for one test."""
-    monkeypatch.setattr(spectral, "_cache", OrderedDict())
-    monkeypatch.setattr(spectral, "_cache_bytes", 0)
 
 
 def test_equal_specs_share_one_gamma_set():
@@ -325,34 +346,101 @@ def test_cached_gamma_set_matches_a_fresh_enumeration(spec):
 def test_set_over_the_budget_is_returned_not_kept(monkeypatch, empty_cache):
     small, large = _spec((5, 3)), _spec((31, 29, 16))
     budget = _nbytes(spectral._enumerate_gamma(small))
-    monkeypatch.setattr(spectral, "GAMMA_CACHE_BYTES", budget)
+    monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", budget)
     kept = build_gamma(small)
     first = build_gamma(large)
     assert len(first) == 4080 and _nbytes(first) > budget
     assert build_gamma(large) is not first
-    assert list(spectral._cache) == [small] and build_gamma(small) is kept
-    assert spectral._cache_bytes == budget
+    assert list(nodes._cache) == [("gamma", small)]
+    assert build_gamma(small) is kept
+    assert nodes._cache_bytes == budget
 
 
 def test_least_recently_used_set_is_dropped(monkeypatch, empty_cache):
     a, b, c = _spec((5, 3)), _spec((7, 4)), _spec((5, 3), (0, 1))
     sizes = {s: _nbytes(spectral._enumerate_gamma(s)) for s in (a, b, c)}
-    monkeypatch.setattr(spectral, "GAMMA_CACHE_BYTES", sizes[a] + sizes[c])
+    monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", sizes[a] + sizes[c])
     first_a = build_gamma(a)
     build_gamma(b)
     assert build_gamma(a) is first_a  # a is now the most recently used
     build_gamma(c)  # over the budget: b goes, a stays
-    assert list(spectral._cache) == [a, c]
-    assert spectral._cache_bytes == sizes[a] + sizes[c]
+    assert list(nodes._cache) == [("gamma", a), ("gamma", c)]
+    assert nodes._cache_bytes == sizes[a] + sizes[c]
     assert build_gamma(a) is first_a
+
+
+def _lookup_size(spec):
+    return build_node_set(spec)._new_lookup()[1]
+
+
+def _grid_size(spec):
+    return spectral._enumerate_gamma(spec)._new_grid()[1]
+
+
+def test_least_recently_used_entry_of_any_kind_is_dropped(
+    monkeypatch, empty_cache
+):
+    a, b, c = _spec((5, 3)), _spec((7, 4)), _spec((5, 3), (0, 1))
+    sizes = {
+        ("gamma", a): _nbytes(spectral._enumerate_gamma(a)),
+        ("lookup", b): _lookup_size(b),
+        ("gamma grid", c): _grid_size(c),
+    }
+    # Room for all three but one byte.
+    monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", sum(sizes.values()) - 1)
+    first_a = build_gamma(a)
+    first_b = build_node_set(b).lookup
+    assert build_gamma(a) is first_a  # a is now the most recently used
+    assert list(nodes._cache) == [("lookup", b), ("gamma", a)]
+    # A set not from build_gamma, so that only c's grid is added.
+    grid_set = spectral._enumerate_gamma(c)
+    assert grid_set.positions(grid_set.elements).tolist() == list(
+        range(len(grid_set))
+    )
+    # Over the budget: b's lookup goes, a's set stays.
+    assert list(nodes._cache) == [("gamma", a), ("gamma grid", c)]
+    assert nodes._cache_bytes == sizes["gamma", a] + sizes["gamma grid", c]
+    assert build_gamma(a) is first_a
+    again = build_node_set(b).lookup
+    assert again is not first_b and again == first_b
+
+
+def test_lookup_over_the_budget_is_returned_not_kept(monkeypatch, empty_cache):
+    spec = _spec((31, 29, 16))
+    monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", _lookup_size(spec) - 1)
+    ns, other = build_node_set(spec), build_node_set(spec)
+    lookup = ns.lookup
+    assert len(lookup) == 4080
+    assert other.lookup is not lookup and other.lookup == lookup
+    assert ns.lookup is lookup  # kept on its node set
+    assert list(nodes._cache) == [] and nodes._cache_bytes == 0
+    # A Γ under the budget is still kept.
+    gs = build_gamma(spec)
+    assert list(nodes._cache) == [("gamma", spec)] and build_gamma(spec) is gs
+
+
+def test_lookup_bytes_count_what_tracemalloc_sees():
+    # The lookup's table, key tuples and ints past the small-int cache;
+    # tracemalloc reads 0.97-1.01 MB for (129, 128)'s 8,385 entries.
+    for nv, lo, hi in [((129, 128), 110, 130), ((513, 512), 140, 165)]:
+        spec = _spec(nv)
+        size, n = _lookup_size(spec), len(build_node_set(spec))
+        assert lo * n < size < hi * n
 
 
 def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
     specs = [_spec(n) for n in [(5, 3), (7, 4), (9, 7), (11, 5), (7, 5, 3)]]
     fresh = {s: spectral._enumerate_gamma(s) for s in specs}
-    # Room for about two sets, so threads keep evicting one another's.
-    budget = sum(sorted(map(_nbytes, fresh.values()))[-2:])
-    monkeypatch.setattr(spectral, "GAMMA_CACHE_BYTES", budget)
+    lookups = {s: dict(build_node_set(s)._new_lookup()[0]) for s in specs}
+    sizes = {}
+    for s in specs:
+        sizes["gamma", s] = _nbytes(fresh[s])
+        sizes["lookup", s] = _lookup_size(s)
+        sizes["gamma grid", s] = _grid_size(s)
+    # Room for about two specs' entries, so threads keep evicting one
+    # another's, of every kind.
+    budget = sum(sorted(sizes.values())[-6:])
+    monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", budget)
     errors = []
 
     def work(k):
@@ -360,8 +448,14 @@ def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
             for i in range(200):
                 spec = specs[(k + i) % len(specs)]
                 gs = build_gamma(spec)
-                if gs.spec != spec or not np.array_equal(
-                    gs.elements, fresh[spec].elements
+                ns = build_node_set(spec)
+                if (
+                    gs.spec != spec
+                    or not np.array_equal(gs.elements, fresh[spec].elements)
+                    or ns.lookup != lookups[spec]
+                    or not np.array_equal(
+                        gs.positions(fresh[spec].elements), np.arange(len(gs))
+                    )
                 ):
                     errors.append((k, i))
         except Exception as exc:  # a failure in a thread fails the test
@@ -379,6 +473,7 @@ def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    kept = spectral._cache.values()
-    assert spectral._cache_bytes == sum(size for _, size in kept) <= budget
-    assert all(_nbytes(gs) == size for gs, size in kept)
+    kept = nodes._cache.items()
+    assert nodes._cache_bytes == sum(size for _, (_, size) in kept) <= budget
+    assert all(sizes[key] == size for key, (_, size) in kept)
+    assert {kind for kind, _ in nodes._cache} <= {"gamma", "lookup", "gamma grid"}
