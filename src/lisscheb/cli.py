@@ -21,7 +21,7 @@ from typing import List, NoReturn, Optional, Sequence, Tuple
 import numpy as np
 
 from . import interp, quad, transform, verify
-from .curves import LCCurve, curve_parameters, lc_eval
+from .curves import LCCurve, curve_parameters, sample_curve
 from .errors import DomainViolation, LisschebError
 from .nodes import NodeSpec, _face_mask, build_node_set, int_tuples
 from .spectral import build_gamma
@@ -161,8 +161,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
     kappa = _parse_int_list(args.kappa) if args.kappa else (0,) * len(n)
     u = _parse_int_list(args.u) if args.u else (1,) * len(n)
     curve = LCCurve(n=n, epsilon=args.epsilon, kappa=kappa, u=u)
-    t = curve_parameters(curve, args.samples, (args.t0, args.t1))
-    _write_csv(args.out, [("t", t), ("x", [lc_eval(curve, ti) for ti in t])])
+    t_range = (args.t0, args.t1)
+    t = curve_parameters(curve, args.samples, t_range)
+    points = sample_curve(curve, args.samples, t_range)
+    _write_csv(args.out, [("t", t), ("x", points)])
     return EXIT_OK
 
 

@@ -42,8 +42,8 @@ MAX_BOX_CELLS = 1 << 24
 
 _DOMAIN_SLACK = 1e-12
 
-# Γ, node lookups and Γ grids as (value, bytes) by (kind, spec), least
-# recently used first: a (513, 512) lookup takes 20 MB, so count bytes.
+# Γ sets and node lookups as (value, bytes) by (kind, spec), least recently
+# used first: a (513, 512) lookup takes 20 MB, so count bytes.
 SPEC_CACHE_BYTES = 64 << 20
 _cache: "OrderedDict[Tuple[str, NodeSpec], Tuple[object, int]]" = OrderedDict()
 _cache_bytes = 0
@@ -115,9 +115,9 @@ class NodeSet:
     """The full enumerated node family, ordered lexicographically by index.
 
     ``indices``, ``points``, ``weights`` and ``parities`` are parallel
-    arrays.  The Node list and the spec's index-to-position lookup are
-    taken on first access and kept on the instance; the fields are frozen,
-    so they stay in step with ``indices``.
+    arrays.  The Node list and the index-to-position lookup are made on
+    first access and kept on the instance; the fields are frozen, so they
+    stay in step with ``indices``.
     """
 
     spec: NodeSpec
@@ -145,33 +145,41 @@ class NodeSet:
 
     @property
     def lookup(self) -> Mapping[MultiIndex, int]:
-        """Read-only map of index tuples to positions, shared per spec."""
+        """Read-only map of index tuples to positions.  build_node_set's
+        node sets share their spec's; any other set builds its own."""
         if "_lookup" not in vars(self):
-            lookup = spec_cached("lookup", self.spec, self._new_lookup)
+            if vars(self).get("_built"):
+                lookup = spec_cached("lookup", self.spec, _new_lookup)
+            else:
+                lookup = _new_lookup(self.spec, self.indices)[0]
             object.__setattr__(self, "_lookup", lookup)
         return self._lookup
 
-    def _new_lookup(self):
-        """The lookup and its bytes: table, key tuples and ints past 256."""
-        lookup = dict(zip(int_tuples(self.indices), range(len(self))))
-        ints = max(len(self) - 257, 0) + np.count_nonzero(self.indices > 256)
-        size = sys.getsizeof(lookup) + sys.getsizeof(257) * int(ints)
-        size += len(self) * sys.getsizeof(next(iter(lookup)))
-        return MappingProxyType(lookup), size
+    def __getstate__(self):  # a mapping proxy does not pickle; rebuilt on use
+        return {k: v for k, v in vars(self).items() if k != "_lookup"}
+
+
+def _new_lookup(spec: NodeSpec, indices: Optional[np.ndarray] = None):
+    """Rows of indices (by default the spec's nodes) mapped to positions,
+    read-only, and the bytes of the map, its key tuples and ints past 256."""
+    indices = _node_indices(spec) if indices is None else indices
+    n = indices.shape[0]
+    lookup = dict(zip(int_tuples(indices), range(n)))
+    ints = max(n - 257, 0) + np.count_nonzero(indices > 256)
+    size = sys.getsizeof(lookup) + sys.getsizeof(257) * int(ints)
+    size += n * sys.getsizeof((0,) * indices.shape[1])
+    return MappingProxyType(lookup), size
 
 
 def spec_cached(kind: str, spec: NodeSpec, build):
-    """The spec's value of a kind; build() gives (value, bytes) on a miss.
-
-    A value over SPEC_CACHE_BYTES is returned but not kept.  build runs
-    under the lock: a second caller waits rather than builds again.
-    """
+    """The spec's value of a kind, built once by build(spec) -> (value,
+    bytes) under the lock; a value over SPEC_CACHE_BYTES is not kept."""
     global _cache_bytes
     with _cache_lock:
         if (kind, spec) in _cache:
             _cache.move_to_end((kind, spec))
             return _cache[kind, spec][0]
-        value, size = build()
+        value, size = build(spec)
         if size <= SPEC_CACHE_BYTES:
             _cache[kind, spec] = value, size
             _cache_bytes += size
@@ -228,11 +236,9 @@ def check_box_size(corner: Sequence[int]) -> None:
         )
 
 
-def build_node_set(spec: NodeSpec) -> NodeSet:
-    """Enumerate the node family of a spec with points, weights and parities.
-
-    The nodes are the indices i of the box [0, m] whose entries i_j - kappa_j
-    all share one parity: the cells where the per-axis parity vectors,
+def _node_indices(spec: NodeSpec) -> np.ndarray:
+    """The node indices: those i of the box [0, m] whose entries i_j - kappa_j
+    all share one parity, the cells where the per-axis parity vectors,
     broadcast over the box, all equal that of axis 0.  np.argwhere lists
     them in lexicographic order.
     """
@@ -243,8 +249,14 @@ def build_node_set(spec: NodeSpec) -> NodeSet:
     mask = np.ones([mj + 1 for mj in m], dtype=bool)
     for axis in parity[1:]:
         mask &= axis == parity[0]
-    indices = np.argwhere(mask)
-    parities = ((indices[:, 0] + kappa[0]) % 2).astype(np.uint8)
+    return np.argwhere(mask)
+
+
+def build_node_set(spec: NodeSpec) -> NodeSet:
+    """Enumerate the node family of a spec with points, weights and parities."""
+    indices = _node_indices(spec)
+    m = spec.m
+    parities = ((indices[:, 0] + (spec.kappa or (0,))[0]) % 2).astype(np.uint8)
 
     points = np.column_stack([t[i] for t, i in zip(chi_tables(spec), indices.T)])
 
@@ -252,7 +264,9 @@ def build_node_set(spec: NodeSpec) -> NodeSet:
     denom = 2 ** (spec.dim + 1 if spec.is_shifted else 1) * spec.n.product
     weights = np.exp2(interior.astype(np.float64)) / denom
 
-    return NodeSet(spec, indices, points, weights, parities)
+    node_set = NodeSet(spec, indices, points, weights, parities)
+    object.__setattr__(node_set, "_built", True)
+    return node_set
 
 
 def class_map_standard(n: DimensionVector, l: int) -> MultiIndex:

@@ -59,23 +59,23 @@ class GammaSet:
         A row that is not a member maps to -1.  Entries may be Python ints
         of any size in an object array: each is clamped to [-1, max(m) + 1]
         first, which keeps an entry outside the box outside and makes it
-        fit int64.  Members are found in the spec's box grid of positions.
+        fit int64.  Members are found in a box grid of positions, which
+        build_gamma's sets keep and any other set builds on each call.
         """
         dims = np.array(self.spec.m) + 1
         rows = np.asarray(rows).clip(-1, dims.max()).astype(np.int64)
         inside = ((rows >= 0) & (rows < dims)).all(axis=1)
-        grid = spec_cached("gamma grid", self.spec, self._new_grid)
+        grid = self._grid if "_grid" in vars(self) else self._box_grid()
         out = np.full(rows.shape[0], -1, dtype=np.intp)
         out[inside] = grid[np.ravel_multi_index(rows[inside].T, dims)]
         return out
 
-    def _new_grid(self) -> Tuple[np.ndarray, int]:
+    def _box_grid(self) -> np.ndarray:
         """The position of each cell of the box [0, m] in the set, or -1."""
         dims = np.array(self.spec.m) + 1
         grid = np.full(int(np.prod(dims)), -1, dtype=np.intp)
         grid[np.ravel_multi_index(self.elements.T, dims)] = np.arange(len(self))
-        grid.setflags(write=False)
-        return grid, grid.nbytes
+        return grid
 
 
 def _pairwise_keep(spec: NodeSpec, cols) -> np.ndarray:
@@ -103,16 +103,17 @@ def build_gamma(spec: NodeSpec) -> GammaSet:
     """The spectral set of a spec, enumerated once and then reused.
 
     Equal specs get the same GammaSet while nodes.spec_cached keeps it,
-    its arrays counted against the budget it shares with node lookups and
-    Γ grids; a set over the budget is returned but not kept.
+    its arrays and box grid counted against the budget it shares with node
+    lookups; a set over the budget is returned but not kept.
     """
-    return spec_cached("gamma", spec, lambda: _new_gamma(spec))
+    return spec_cached("gamma", spec, _new_gamma)
 
 
 def _new_gamma(spec: NodeSpec) -> Tuple[GammaSet, int]:
-    """The spec's set with its arrays made read-only, and their bytes."""
+    """The spec's set with its box grid, all arrays read-only, and bytes."""
     gs = _enumerate_gamma(spec)
-    arrays = (gs.elements, gs.norm_sq, gs.e_counts)
+    object.__setattr__(gs, "_grid", gs._box_grid())
+    arrays = (gs.elements, gs.norm_sq, gs.e_counts, gs._grid)
     for array in arrays:
         array.setflags(write=False)
     return gs, sum(array.nbytes for array in arrays)

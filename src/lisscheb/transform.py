@@ -17,8 +17,7 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, repeat
-from operator import getitem
+from itertools import chain, islice
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -228,10 +227,9 @@ def aligned_values(
         raise IndexOutOfRange(
             f"sample vector has {len(h.values)} entries, expected {n}"
         )
-    # getitem reaches the lookup's dict faster than the proxy's __getitem__.
-    lookups = repeat(node_set.lookup, n)
+    lookup = node_set.lookup
     try:
-        pos = np.fromiter(map(getitem, lookups, h.values), np.intp, n)
+        pos = np.fromiter(map(lookup.__getitem__, h.values), np.intp, n)
     except KeyError as exc:
         raise IndexOutOfRange(
             f"sample index {exc.args[0]} is not in the index set"

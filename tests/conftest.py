@@ -7,6 +7,6 @@ from lisscheb import nodes
 
 @pytest.fixture
 def empty_cache(monkeypatch):
-    """A fresh, empty per-spec cache (Γ, node lookups, Γ grids) for one test."""
+    """A fresh, empty per-spec cache (Γ sets, node lookups) for one test."""
     monkeypatch.setattr(nodes, "_cache", OrderedDict())
     monkeypatch.setattr(nodes, "_cache_bytes", 0)

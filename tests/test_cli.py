@@ -462,15 +462,13 @@ def test_output_is_the_same_on_a_cold_and_a_warm_cache(
     for name, argv in commands.items():
         written = []
         for warm in (False, True):
-            if not warm:  # Γ, lookups and Γ grids all dropped
+            if not warm:  # Γ sets and lookups all dropped
                 monkeypatch.setattr(nodes, "_cache", OrderedDict())
                 monkeypatch.setattr(nodes, "_cache_bytes", 0)
             assert run(argv + ["--out", str(out)]) == 0
             written.append(out.read_bytes())
         assert written[0] == written[1], name
-        assert ("lookup" if name != "eval" else "gamma grid", spec) in (
-            nodes._cache
-        )
+        assert ("lookup" if name != "eval" else "gamma", spec) in nodes._cache
     assert capsys.readouterr().out == ""
 
 

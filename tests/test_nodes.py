@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -18,9 +19,11 @@ from lisscheb.errors import (
 )
 from lisscheb.interp import ChebExpansion, cheb_T_eval, expansion_eval
 from lisscheb.interp import kernel_eval
+from lisscheb import quad, transform
 from lisscheb.nodes import (
     MAX_BOX_CELLS,
     Node,
+    NodeSet,
     NodeSpec,
     build_node_set,
     cgl_point,
@@ -408,6 +411,67 @@ def test_lookup_is_the_index_to_position_dict(spec):
     ns = build_node_set(spec)
     assert ns.lookup == dict(zip(int_tuples(ns.indices), range(len(ns))))
     assert list(ns.lookup.values()) == list(range(len(ns)))
+
+
+def _reversed(ns):
+    return NodeSet(ns.spec, *(a[::-1] for a in (ns.indices, ns.points,
+                                                ns.weights, ns.parities)))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_hand_built_node_set_builds_its_own_lookup(empty_cache, warm):
+    # A node set not from build_node_set maps its own rows, and neither
+    # reads nor fills the spec's lookup, on a cold or a warm cache.
+    spec = NodeSpec(n=validate_pairwise_coprime((7, 5, 3)))
+    built = build_node_set(spec)
+    want = dict(zip(int_tuples(built.indices), range(len(built))))
+    if warm:
+        assert built.lookup == want
+    rev = _reversed(built)
+    assert rev.lookup == dict(zip(int_tuples(rev.indices), range(len(rev))))
+    assert rev.lookup[tuple(built.indices[0].tolist())] == len(rev) - 1
+    values = {key: float(sum(key)) for key in want}
+    h = transform.SampleVector(spec=spec, values=values)
+    assert transform.aligned_values(h, rev).tolist() == [
+        float(sum(key)) for key in rev.lookup
+    ]
+    with pytest.raises(TypeError):
+        rev.lookup[(0, 0, 0)] = 1
+    # Node sets from build_node_set still get the spec's map in their order.
+    assert build_node_set(spec).lookup == want
+    assert list(build_node_set(spec).lookup) == list(want)
+    assert quad.integrate(h) == pytest.approx(
+        float(np.dot(built.weights, [values[k] for k in want])), rel=1e-14
+    )
+
+
+def test_empty_node_set_has_an_empty_lookup(empty_cache):
+    built = build_node_set(NodeSpec(n=N53))
+    arrays = (built.indices, built.points, built.weights, built.parities)
+    assert NodeSet(built.spec, *(a[:0] for a in arrays)).lookup == {}
+    assert built.lookup == dict(zip(int_tuples(built.indices), range(len(built))))
+    # On a warm cache too.
+    assert NodeSet(built.spec, *(a[:0] for a in arrays)).lookup == {}
+
+
+def test_lookup_follows_the_spec_not_a_changed_array(empty_cache):
+    # The shared map is built from the spec, so writing into a node set's
+    # indices before its first lookup leaves the other node sets' map right.
+    spec = NodeSpec(n=N53)
+    want = list(int_tuples(build_node_set(spec).indices))
+    changed = build_node_set(spec)
+    changed.indices[:] = changed.indices[::-1].copy()
+    assert list(changed.lookup) == want
+    assert list(build_node_set(spec).lookup) == want
+
+
+def test_node_set_pickles_after_its_lookup_is_used():
+    for ns in (build_node_set(NodeSpec(n=N53)),
+               _reversed(build_node_set(NodeSpec(n=N53)))):
+        lookup = dict(ns.lookup)
+        back = pickle.loads(pickle.dumps(ns))
+        assert np.array_equal(back.indices, ns.indices)
+        assert back.lookup == lookup and list(back.lookup) == list(lookup)
 
 
 def test_node_set_fields_are_frozen():

@@ -10,7 +10,7 @@ from strategies import small_specs
 
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import InvalidParameter, NotInGammaSet
-from lisscheb.nodes import NodeSpec, build_node_set
+from lisscheb.nodes import NodeSet, NodeSpec, build_node_set, int_tuples
 from lisscheb import nodes, spectral, transform
 from lisscheb.spectral import (
     build_gamma,
@@ -291,7 +291,9 @@ def _spec(n, kappa=None):
 
 
 def _nbytes(gs):
-    return gs.elements.nbytes + gs.norm_sq.nbytes + gs.e_counts.nbytes
+    """The bytes build_gamma counts for a set: its arrays and box grid."""
+    arrays = (gs.elements, gs.norm_sq, gs.e_counts, gs._box_grid())
+    return sum(array.nbytes for array in arrays)
 
 
 def test_equal_specs_share_one_gamma_set():
@@ -370,11 +372,7 @@ def test_least_recently_used_set_is_dropped(monkeypatch, empty_cache):
 
 
 def _lookup_size(spec):
-    return build_node_set(spec)._new_lookup()[1]
-
-
-def _grid_size(spec):
-    return spectral._enumerate_gamma(spec)._new_grid()[1]
+    return nodes._new_lookup(spec)[1]
 
 
 def test_least_recently_used_entry_of_any_kind_is_dropped(
@@ -384,25 +382,58 @@ def test_least_recently_used_entry_of_any_kind_is_dropped(
     sizes = {
         ("gamma", a): _nbytes(spectral._enumerate_gamma(a)),
         ("lookup", b): _lookup_size(b),
-        ("gamma grid", c): _grid_size(c),
+        ("gamma", c): _nbytes(spectral._enumerate_gamma(c)),
     }
-    # Room for all three but one byte.
-    monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", sum(sizes.values()) - 1)
+    # Room for a's set, b's lookup and c's set but one byte.
+    budget = sizes["gamma", a] + sizes["lookup", b] + sizes["gamma", c] - 1
+    monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", budget)
     first_a = build_gamma(a)
     first_b = build_node_set(b).lookup
     assert build_gamma(a) is first_a  # a is now the most recently used
     assert list(nodes._cache) == [("lookup", b), ("gamma", a)]
-    # A set not from build_gamma, so that only c's grid is added.
-    grid_set = spectral._enumerate_gamma(c)
-    assert grid_set.positions(grid_set.elements).tolist() == list(
-        range(len(grid_set))
-    )
     # Over the budget: b's lookup goes, a's set stays.
-    assert list(nodes._cache) == [("gamma", a), ("gamma grid", c)]
-    assert nodes._cache_bytes == sizes["gamma", a] + sizes["gamma grid", c]
+    build_gamma(c)
+    assert list(nodes._cache) == [("gamma", a), ("gamma", c)]
+    assert nodes._cache_bytes == sizes["gamma", a] + sizes["gamma", c]
     assert build_gamma(a) is first_a
+    # And a lookup pushes out the least recently used set, c's.
     again = build_node_set(b).lookup
     assert again is not first_b and again == first_b
+    assert list(nodes._cache) == [("gamma", a), ("lookup", b)]
+    assert nodes._cache_bytes == sizes["gamma", a] + sizes["lookup", b]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_hand_built_gamma_set_maps_its_own_rows(empty_cache, warm):
+    # A set not from build_gamma finds positions in its own rows, and
+    # neither reads nor changes build_gamma's set or its grid.
+    spec = _spec((7, 5, 3))
+    fresh = spectral._enumerate_gamma(spec)
+    if warm:
+        build_gamma(spec)
+    rev = spectral.GammaSet(spec, fresh.elements[::-1], fresh.norm_sq[::-1],
+                            fresh.e_counts[::-1], len(fresh) - 1 - fresh.special_pos)
+    n = len(rev)
+    assert rev.positions(fresh.elements[:3]).tolist() == [n - 1, n - 2, n - 3]
+    assert np.array_equal(rev.positions(rev.elements), np.arange(n))
+    assert transform.coefficient_rows(
+        rev, fresh.elements[:2].tolist(), [1.0, 2.0]
+    )[[n - 1, n - 2]].tolist() == [1.0, 2.0]
+    gs = build_gamma(spec)
+    assert np.array_equal(gs.elements, fresh.elements)
+    assert np.array_equal(gs.positions(fresh.elements), np.arange(n))
+    assert list(nodes._cache) == [("gamma", spec)]
+
+
+def test_gamma_grid_is_kept_with_its_set(empty_cache):
+    spec = _spec((9, 7), (0, 1))
+    gs = build_gamma(spec)
+    with pytest.raises(ValueError, match="read-only"):
+        gs._grid[0] = 7
+    assert np.array_equal(gs._grid, spectral._enumerate_gamma(spec)._box_grid())
+    assert nodes._cache_bytes == _nbytes(gs) == (
+        _nbytes(spectral._enumerate_gamma(spec))
+    )
 
 
 def test_lookup_over_the_budget_is_returned_not_kept(monkeypatch, empty_cache):
@@ -431,15 +462,15 @@ def test_lookup_bytes_count_what_tracemalloc_sees():
 def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
     specs = [_spec(n) for n in [(5, 3), (7, 4), (9, 7), (11, 5), (7, 5, 3)]]
     fresh = {s: spectral._enumerate_gamma(s) for s in specs}
-    lookups = {s: dict(build_node_set(s)._new_lookup()[0]) for s in specs}
+    lookups = {s: dict(zip(int_tuples(fresh_ns.indices), range(len(fresh_ns))))
+               for s, fresh_ns in ((s, build_node_set(s)) for s in specs)}
     sizes = {}
     for s in specs:
         sizes["gamma", s] = _nbytes(fresh[s])
         sizes["lookup", s] = _lookup_size(s)
-        sizes["gamma grid", s] = _grid_size(s)
     # Room for about two specs' entries, so threads keep evicting one
-    # another's, of every kind.
-    budget = sum(sorted(sizes.values())[-6:])
+    # another's, of both kinds.
+    budget = sum(sorted(sizes.values())[-4:])
     monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", budget)
     errors = []
 
@@ -476,4 +507,4 @@ def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
     kept = nodes._cache.items()
     assert nodes._cache_bytes == sum(size for _, (_, size) in kept) <= budget
     assert all(sizes[key] == size for key, (_, size) in kept)
-    assert {kind for kind, _ in nodes._cache} <= {"gamma", "lookup", "gamma grid"}
+    assert {kind for kind, _ in nodes._cache} <= {"gamma", "lookup"}
