@@ -1,12 +1,11 @@
 """Node sets on the Chebyshev-Gauss-Lobatto grid with shared parity.
 
 A node set is specified by a pairwise-coprime frequency vector n and,
-optionally, an integer shift vector kappa.  Without kappa the multi-indices
-live in the box [0, n] with all components sharing one parity; with kappa
-they live in [0, 2n] with component j congruent to kappa_j + r mod 2 for a
-single parity bit r.  Each index i maps to the grid point
-z_i = (cos(i_1 pi/m_1), ..., cos(i_d pi/m_d)) and carries a quadrature
-weight determined by how many components are strictly interior.
+optionally, an integer shift vector kappa (0 without it).  The multi-indices
+live in the box [0, m], m = n without kappa and 2n with it, with component j
+congruent to kappa_j + r mod 2 for a single parity bit r.  Each index i maps
+to the grid point z_i = (cos(i_1 pi/m_1), ..., cos(i_d pi/m_d)) and carries
+the weight 2^e / (2 prod_j m_j), e its number of strictly interior entries.
 """
 
 from __future__ import annotations
@@ -75,6 +74,11 @@ class NodeSpec:
     @property
     def is_shifted(self) -> bool:
         return self.kappa is not None
+
+    @property
+    def shift(self) -> Tuple[int, ...]:
+        """kappa, or the zero vector for the standard family."""
+        return self.kappa if self.is_shifted else (0,) * self.dim
 
     @property
     def dim(self) -> int:
@@ -240,12 +244,12 @@ def _node_indices(spec: NodeSpec) -> np.ndarray:
     """The node indices: those i of the box [0, m] whose entries i_j - kappa_j
     all share one parity, the cells where the per-axis parity vectors,
     broadcast over the box, all equal that of axis 0.  np.argwhere lists
-    them in lexicographic order.
+    them in lexicographic order.  Only kappa mod 2 matters.
     """
     check_box_size(spec.m)
     m = spec.m
-    kappa = spec.kappa if spec.is_shifted else (0,) * spec.dim
-    parity = np.ix_(*[(np.arange(mj + 1) + k) % 2 for mj, k in zip(m, kappa)])
+    parity = np.ix_(*[(np.arange(mj + 1) + k % 2) % 2
+                      for mj, k in zip(m, spec.shift)])
     mask = np.ones([mj + 1 for mj in m], dtype=bool)
     for axis in parity[1:]:
         mask &= axis == parity[0]
@@ -256,13 +260,12 @@ def build_node_set(spec: NodeSpec) -> NodeSet:
     """Enumerate the node family of a spec with points, weights and parities."""
     indices = _node_indices(spec)
     m = spec.m
-    parities = ((indices[:, 0] + (spec.kappa or (0,))[0]) % 2).astype(np.uint8)
+    parities = ((indices[:, 0] + spec.shift[0] % 2) % 2).astype(np.uint8)
 
     points = np.column_stack([t[i] for t, i in zip(chi_tables(spec), indices.T)])
 
     interior = _face_mask(indices, m).sum(axis=1)
-    denom = 2 ** (spec.dim + 1 if spec.is_shifted else 1) * spec.n.product
-    weights = np.exp2(interior.astype(np.float64)) / denom
+    weights = np.exp2(interior.astype(np.float64)) / (2 * math.prod(m))
 
     node_set = NodeSet(spec, indices, points, weights, parities)
     object.__setattr__(node_set, "_built", True)
@@ -386,14 +389,13 @@ def variety_membership(
 ) -> bool:
     """Check whether x lies on the spec's Chebyshev variety.
 
-    The variety is the set where T_{n_1}(x_1) = ... = T_{n_d}(x_d)
-    (standard), or (-1)^{kappa_i} T_{2n_i}(x_i) all equal (shifted).
-    Raises DomainViolation for a point that check_points rejects.
+    The variety is the set where the (-1)^{kappa_i} T_{m_i}(x_i) all
+    equal, kappa = 0 for the standard family.  Raises DomainViolation for
+    a point that check_points rejects.
     """
     x = check_points([x], spec.dim)[0].tolist()
-    kappa = spec.kappa or (0,) * spec.dim
     vals = [
         (-1) ** k * math.cos(mj * math.acos(xj))
-        for xj, mj, k in zip(x, spec.m, kappa)
+        for xj, mj, k in zip(x, spec.m, spec.shift)
     ]
     return max(vals) - min(vals) <= tol

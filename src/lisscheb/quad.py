@@ -71,9 +71,8 @@ def exactness_table(
     true[(0,) * spec.dim] = 1.0
     # On the lattice a nonzero alias value replaces the integral as target.
     target = true.copy()
-    step = 2 if spec.is_shifted else 1
     for gamma in itertools.product(
-        *(range(0, b + 1, step * nj) for b, nj in zip(box, spec.n.entries))
+        *(range(0, b + 1, mj) for b, mj in zip(box, spec.m))
     ):
         target[gamma] = alias_integral(spec, gamma) or target[gamma]
     ok = np.abs(rule - target) < tol

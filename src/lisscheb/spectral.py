@@ -1,13 +1,12 @@
 """Spectral index sets: the frequency tuples spanning the interpolation space.
 
-For a standard spec the set contains all gamma with gamma_i < n_i and
-gamma_i/n_i + gamma_j/n_j < 1 for every pair, plus the single special
-element (0, ..., 0, n_d).  For a shifted spec the box grows to gamma_i < 2n_i
-with the pairwise bound gamma_i/n_i + gamma_j/n_j <= 2, strict whenever
-kappa_i and kappa_j differ in parity, plus (0, ..., 0, 2n_d).  All ratio
-comparisons are done in cross-multiplied integer form; the distinction
-between <= and < at the boundary is essential and floating point would
-blur it.
+With grid denominators m = eps n (eps = 1 standard, 2 shifted) and shift
+kappa (0 standard) the set holds every gamma with gamma_i < m_i and
+gamma_i/n_i + gamma_j/n_j <= eps for every pair, strict where kappa_i and
+kappa_j differ in parity, plus the special element (0, ..., 0, m_d).  All
+ratio comparisons are done in cross-multiplied integer form; the
+distinction between <= and < at the boundary is essential and floating
+point would blur it.
 """
 
 from __future__ import annotations
@@ -82,20 +81,16 @@ def _pairwise_keep(spec: NodeSpec, cols) -> np.ndarray:
     """Where the cells of a box meet the pairwise bounds.
 
     cols are np.ix_ ranges, one per axis, so each pair compares one
-    m_i x m_j slice.
+    m_i x m_j slice.  In the standard family <= acts as the paper's <:
+    inside the box, equality needs n_i | gamma_i, so gamma_i = 0 and
+    gamma_j = n_j, which lies outside.
     """
-    n = spec.n.entries
-    d = spec.dim
+    n, m, kappa = spec.n.entries, spec.m, spec.shift
     keep = np.ones(np.broadcast_shapes(*[c.shape for c in cols]), dtype=bool)
-    for i in range(d):
-        for j in range(i + 1, d):
+    for i in range(spec.dim):
+        for j in range(i + 1, spec.dim):
             lhs = cols[i] * n[j] + cols[j] * n[i]
-            if not spec.is_shifted:
-                keep &= lhs < n[i] * n[j]
-            elif (spec.kappa[i] - spec.kappa[j]) % 2 == 1:
-                keep &= lhs < 2 * n[i] * n[j]
-            else:
-                keep &= lhs <= 2 * n[i] * n[j]
+            keep &= lhs <= m[i] * n[j] - (kappa[i] - kappa[j]) % 2
     return keep
 
 
@@ -123,11 +118,10 @@ def _enumerate_gamma(spec: NodeSpec) -> GammaSet:
     """Enumerate the spectral set of a spec in graded lexicographic order.
 
     The pairwise bounds are evaluated on np.ix_ ranges over the box [0, m)
-    with the last axis widened to take m_d.  There m_d/n_d is 1 (2 when
-    shifted), so the bounds hold at most where every other entry is 0: at
-    the special element (0, ..., 0, m_d), which is set.  np.argwhere lists
-    the kept cells in lexicographic order; a stable sort by degree grades
-    them.
+    with the last axis widened to take m_d.  There m_d/n_d is eps, so the
+    bounds hold at most where every other entry is 0: at the special
+    element (0, ..., 0, m_d), which is set.  np.argwhere lists the kept
+    cells in lexicographic order; a stable sort by degree grades them.
     """
     check_box_size(spec.m)
     special = (0,) * (spec.dim - 1) + (spec.m[-1],)
@@ -138,13 +132,11 @@ def _enumerate_gamma(spec: NodeSpec) -> GammaSet:
     elements = elements[np.argsort(elements.sum(axis=1), kind="stable")]
 
     special_pos = int(np.nonzero((elements == special).all(axis=1))[0][0])
-    # Support counts e and squared norms 2^(f - e), 1 for the special row.
+    # Support counts e and squared norms 2^(f - e), f = #{j: gamma_j = n_j}
+    # less 1 (at least 0); 1 for the special row.
     e_counts = (elements > 0).sum(axis=1).astype(np.int64)
-    if spec.is_shifted:
-        at_n = (elements == np.array(spec.n.entries, dtype=np.int64)).sum(axis=1)
-        f_counts = np.maximum(at_n - 1, 0).astype(np.int64)
-    else:
-        f_counts = np.zeros(elements.shape[0], dtype=np.int64)
+    at_n = (elements == np.array(spec.n.entries, dtype=np.int64)).sum(axis=1)
+    f_counts = np.maximum(at_n - 1, 0).astype(np.int64)
     norm = np.exp2((f_counts - e_counts).astype(np.float64))
     norm[special_pos] = 1.0
     return GammaSet(spec, elements, norm, e_counts, special_pos)

@@ -251,27 +251,24 @@ def discrete_integral(h: SampleVector) -> Scalar:
 def alias_integral(spec: NodeSpec, gamma: SpectralIndex) -> int:
     """The discrete integral of chi_gamma, evaluated combinatorially.
 
-    Nonzero only when every gamma_i is the n_i-th (standard) or 2n_i-th
-    (shifted) multiple h_i with even sum of the h_i; the value is then 1,
-    with an extra sign (-1)^(sum h_i kappa_i) in the shifted case.  Raises
+    Nonzero only when every gamma_i is a multiple h_i m_i of the grid
+    denominator, with even sum of the h_i; the value is then the sign
+    (-1)^(sum h_i kappa_i), 1 for the standard family (kappa = 0).  Raises
     InvalidParameter for a gamma that is not d integers.
     """
     gamma = integer_tuple(gamma, "gamma")
     if len(gamma) != spec.dim:
         raise InvalidParameter(f"gamma {gamma} must have {spec.dim} entries")
-    step = 2 if spec.is_shifted else 1
     hs = []
-    for g, ni in zip(gamma, spec.n.entries):
-        q, r = divmod(g, step * ni)
+    for g, mi in zip(gamma, spec.m):
+        q, r = divmod(g, mi)
         if r != 0:
             return 0
         hs.append(q)
     if sum(hs) % 2 != 0:
         return 0
-    if spec.is_shifted:
-        theta = sum(hi * ki for hi, ki in zip(hs, spec.kappa))
-        return -1 if theta % 2 else 1
-    return 1
+    theta = sum(hi * ki for hi, ki in zip(hs, spec.shift))
+    return -1 if theta % 2 else 1
 
 
 def coefficients_naive(

@@ -95,14 +95,13 @@ def suite_curve(node_set: NodeSet) -> List[CheckResult]:
     spec = node_set.spec
     g = spec.g_index
     eps = 2 if spec.is_shifted else 1
-    kappa = spec.kappa or (0,) * spec.dim
     # lc_eval_at_index makes samples bit-identical to node coordinates.
     node_points = set(map(tuple, node_set.points.tolist()))
     sampled = set()
     # (1, -1)[:1] gives the one all-ones pattern of the standard family.
     for signs in itertools.product((1, -1)[:eps], repeat=spec.dim - 1):
         u = signs[:g] + (1,) + signs[g:]
-        curve = LCCurve(n=spec.n, epsilon=eps, kappa=kappa, u=u)
+        curve = LCCurve(n=spec.n, epsilon=eps, kappa=spec.shift, u=u)
         steps = range(2 * eps * spec.n.product)
         sampled.update(lc_eval_at_index(curve, l) for l in steps)
     ok = sampled == node_points
