@@ -41,10 +41,7 @@ from .spectral import GammaSet, build_gamma, involution, norm_sq
 from .transform import (
     SampleVector,
     alias_integral,
-    chi_eval,
-    coefficients_fast,
     coefficients_naive,
-    discrete_integral,
 )
 
 __version__ = "0.1.0"
@@ -66,13 +63,10 @@ __all__ = [
     "build_node_set",
     "cgl_point",
     "cheb_T_eval",
-    "chi_eval",
     "class_map_shifted",
     "class_map_standard",
-    "coefficients_fast",
     "coefficients_naive",
     "crt_solve",
-    "discrete_integral",
     "exactness_table",
     "expansion_eval",
     "expansion_inner_product",

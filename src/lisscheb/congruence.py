@@ -65,10 +65,13 @@ def integer_tuple(values: Iterable[int], what: str) -> Tuple[int, ...]:
 def validate_pairwise_coprime(entries: Iterable[int]) -> DimensionVector:
     """Validate a frequency vector and populate its derived products.
 
-    Raises InvalidParameter, EmptyDimension, ZeroEntry, CoprimalityViolation
-    or OverflowDimension on invalid input.  Indices in CoprimalityViolation
-    are 1-based to match the usual n_1..n_d naming.
+    entries is a sequence of integers or a DimensionVector, whose entries
+    are checked again.  Raises InvalidParameter, EmptyDimension, ZeroEntry,
+    CoprimalityViolation or OverflowDimension on invalid input.  Indices in
+    CoprimalityViolation are 1-based to match the usual n_1..n_d naming.
     """
+    if isinstance(entries, DimensionVector):
+        entries = entries.entries
     entries = integer_tuple(entries, "frequency")
     if not entries:
         raise EmptyDimension("frequency vector must be non-empty")

@@ -81,7 +81,7 @@ class LCCurve:
     def __post_init__(self):
         if self.epsilon not in (1, 2):
             raise InvalidParameter("epsilon must be 1 or 2")
-        n = validate_pairwise_coprime(getattr(self.n, "entries", self.n))
+        n = validate_pairwise_coprime(self.n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kappa", integer_tuple(self.kappa, "kappa"))
         object.__setattr__(self, "u", integer_tuple(self.u, "sign"))
@@ -113,7 +113,11 @@ class NormalForm:
 
 
 def general_eval(curve: GeneralCurve, t: float) -> Point:
-    """Evaluate a general cosine curve at parameter t."""
+    """Evaluate a general cosine curve at parameter t.
+
+    Raises InvalidRange for a t that curve_parameters would reject.
+    """
+    _check_finite(max(map(abs, curve.q)), t)
     return tuple(
         s * math.cos(q * t - a)
         for q, a, s in zip(curve.q, curve.alpha, curve.u)
@@ -121,8 +125,12 @@ def general_eval(curve: GeneralCurve, t: float) -> Point:
 
 
 def lc_eval(curve: LCCurve, t: float) -> Point:
-    """Evaluate component i as u_i * cos(P_i[n]*t - kappa_i*pi/(eps*n_i))."""
+    """Evaluate component i as u_i * cos(P_i[n]*t - kappa_i*pi/(eps*n_i)).
+
+    Raises InvalidRange for a t that curve_parameters would reject.
+    """
     n = curve.n
+    _check_finite(max(n.coproducts), t)
     eps = curve.epsilon
     return tuple(
         s * math.cos(p * t - k * math.pi / (eps * ni))
@@ -220,6 +228,7 @@ def multiplicity_profile(
     n_i; the curve passes through the sampled point 2**len(M) times per
     period.  l must lie in [0, 2*P[n]).
     """
+    n = validate_pairwise_coprime(n)
     (l,) = integer_tuple((l,), "parameter index")
     if not 0 <= l < 2 * n.product:
         raise IndexOutOfRange(f"l={l} outside [0, {2 * n.product})")
@@ -235,6 +244,7 @@ def self_intersection_counts(n: DimensionVector) -> Dict[FrozenSet[int], int]:
     self-intersections.  The counts sum to the total node count
     2**(1-d) * prod(n_i + 1).
     """
+    n = validate_pairwise_coprime(n)
     d = n.dim
     counts: Dict[FrozenSet[int], int] = {}
     for mask in range(2**d):
@@ -248,6 +258,7 @@ def self_intersection_counts(n: DimensionVector) -> Dict[FrozenSet[int], int]:
 
 def total_node_count(n: DimensionVector) -> int:
     """Total number of distinct points the degenerate curve visits."""
+    n = validate_pairwise_coprime(n)
     return math.prod(ni + 1 for ni in n.entries) // 2 ** (n.dim - 1)
 
 
@@ -272,15 +283,7 @@ def curve_parameters(
     """
     (num_samples,) = integer_tuple((num_samples,), "sample count")
     t0, t1 = t_range
-    # Bounds |t1 - t0| and every frequency times t; a NaN end gives NaN,
-    # and an int end beyond the float range overflows.
-    try:
-        finite = math.isfinite(max(curve.n.coproducts) * (abs(t0) + abs(t1)))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise InvalidRange(f"parameter range [{t0}, {t1}] is not finite "
-                           "at the curve's frequencies")
+    _check_finite(max(curve.n.coproducts), t0, t1)
     if t1 < t0:
         raise InvalidRange(f"empty parameter range [{t0}, {t1}]")
     if not 2 <= num_samples <= MAX_BOX_CELLS:
@@ -288,3 +291,19 @@ def curve_parameters(
                            f"got {num_samples}")
     step = (t1 - t0) / (num_samples - 1)
     return [t0 + i * step for i in range(num_samples)]
+
+
+def _check_finite(freq: int, *ts) -> None:
+    """Raise InvalidRange unless the ts are real numbers whose magnitudes
+    sum, times freq, to a finite float: none is NaN, infinite or an int
+    that leaves the float range at that frequency.  Two ts are a range, and
+    their sum bounds its length."""
+    try:
+        finite = all(isinstance(t, numbers.Real) for t in ts) and (
+            math.isfinite(freq * sum(map(abs, ts))))
+    except OverflowError:
+        finite = False
+    if not finite:
+        what = "range [%s, %s]" % ts if len(ts) == 2 else repr(ts[0])
+        raise InvalidRange(
+            f"parameter {what} is not finite at the curve's frequencies")

@@ -62,8 +62,7 @@ class NodeSpec:
     kappa: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        n = validate_pairwise_coprime(getattr(self.n, "entries", self.n))
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", validate_pairwise_coprime(self.n))
         if self.kappa is None:
             return
         # Kept as a tuple of ints, so that specs hash: they key build_gamma.
@@ -230,6 +229,12 @@ def chi_tables(spec: NodeSpec) -> List[np.ndarray]:
     return [_cos_table(mj) for mj in spec.m]
 
 
+def check_spec(spec: NodeSpec) -> None:
+    """Raise InvalidParameter if spec is not a NodeSpec."""
+    if not isinstance(spec, NodeSpec):
+        raise InvalidParameter(f"expected a NodeSpec, got {spec!r}")
+
+
 def check_box_size(corner: Sequence[int]) -> None:
     """Raise OverflowDimension if the box [0, corner] exceeds MAX_BOX_CELLS."""
     cells = math.prod(c + 1 for c in corner)
@@ -258,6 +263,7 @@ def _node_indices(spec: NodeSpec) -> np.ndarray:
 
 def build_node_set(spec: NodeSpec) -> NodeSet:
     """Enumerate the node family of a spec with points, weights and parities."""
+    check_spec(spec)
     indices = _node_indices(spec)
     m = spec.m
     parities = ((indices[:, 0] + spec.shift[0] % 2) % 2).astype(np.uint8)
@@ -277,6 +283,7 @@ def class_map_standard(n: DimensionVector, l: int) -> MultiIndex:
 
     Component j is the representative of +-l mod 2n_j inside [0, n_j].
     """
+    n = validate_pairwise_coprime(n)
     (l,) = integer_tuple((l,), "parameter index")
     if not 0 <= l < 2 * n.product:
         raise IndexOutOfRange(f"l={l} outside [0, {2 * n.product})")
@@ -293,6 +300,7 @@ def class_map_shifted(
     the representative of +-(l - kappa_g) mod 4n_g inside [0, 2n_g]; the
     remaining components fold +-(l + 2 rho_i n_i - kappa_i) the same way.
     """
+    check_spec(spec)
     if not spec.is_shifted:
         raise InvalidParameter("class_map_shifted needs a shifted spec")
     (l,) = integer_tuple((l,), "parameter index")
@@ -393,6 +401,7 @@ def variety_membership(
     equal, kappa = 0 for the standard family.  Raises DomainViolation for
     a point that check_points rejects.
     """
+    check_spec(spec)
     x = check_points([x], spec.dim)[0].tolist()
     vals = [
         (-1) ** k * math.cos(mj * math.acos(xj))

@@ -18,7 +18,8 @@ import numpy as np
 
 from .congruence import integer_tuple
 from .errors import InvalidParameter, NotInGammaSet
-from .nodes import NodeSpec, check_box_size, int_tuples, spec_cached
+from .nodes import NodeSpec, check_box_size, check_spec, int_tuples
+from .nodes import spec_cached
 
 SpectralIndex = Tuple[int, ...]
 
@@ -101,6 +102,7 @@ def build_gamma(spec: NodeSpec) -> GammaSet:
     its arrays and box grid counted against the budget it shares with node
     lookups; a set over the budget is returned but not kept.
     """
+    check_spec(spec)
     return spec_cached("gamma", spec, _new_gamma)
 
 

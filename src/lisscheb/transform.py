@@ -26,7 +26,7 @@ from .congruence import integer_tuple
 from .errors import DomainViolation, IndexOutOfRange, InvalidParameter
 from .errors import NotInGammaSet, SpecMismatch
 from .nodes import MultiIndex, NodeSet, NodeSpec, _cos_table, build_node_set
-from .nodes import chi_tables
+from .nodes import check_spec, chi_tables
 from .spectral import GammaSet, SpectralIndex, build_gamma
 from .trig import cos_pi_ratio
 
@@ -71,6 +71,10 @@ class ChebExpansion:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.gamma_set, GammaSet):
+            raise InvalidParameter(
+                f"expected a GammaSet, got {self.gamma_set!r}"
+            )
         coeffs = _coefficient_array(self.gamma_set, self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -256,6 +260,7 @@ def alias_integral(spec: NodeSpec, gamma: SpectralIndex) -> int:
     (-1)^(sum h_i kappa_i), 1 for the standard family (kappa = 0).  Raises
     InvalidParameter for a gamma that is not d integers.
     """
+    check_spec(spec)
     gamma = integer_tuple(gamma, "gamma")
     if len(gamma) != spec.dim:
         raise InvalidParameter(f"gamma {gamma} must have {spec.dim} entries")

@@ -33,8 +33,13 @@ _SMALL_N = [
 ]
 
 
+# Shift entries: negative ones, ones of 2 and more, and one of each parity
+# beyond int64.  The node set depends on kappa mod 2 only.
+_KAPPA_ENTRIES = st.integers(-5, 5) | st.sampled_from([2**64, -(2**63) - 1])
+
+
 @st.composite
 def small_specs(draw):
     n = draw(st.sampled_from(_SMALL_N))
-    kappa = draw(st.none() | st.tuples(*[st.integers(0, 1) for _ in n]))
+    kappa = draw(st.none() | st.tuples(*[_KAPPA_ENTRIES for _ in n]))
     return NodeSpec(n=validate_pairwise_coprime(n), kappa=kappa)

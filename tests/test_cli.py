@@ -964,6 +964,22 @@ def test_quad_command(tmp_path, capsys):
     assert float(out) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_node_set_depends_on_kappa_mod_2_only(tmp_path, capsys):
+    # A kappa entry beyond int64 gives the node set of its parity.
+    huge = NodeSpec(n=(5, 4), kappa=(10**30, 1))
+    small = NodeSpec(n=(5, 4), kappa=(0, 1))
+    got, want = build_node_set(huge), build_node_set(small)
+    for name in ("indices", "points", "weights", "parities"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    data, _ = _write_node_data(tmp_path, small, lambda x: x[0] ** 2 + x[1])
+    values = []
+    for kappa in ("0,1", "100000000000000000000000,1", "2,-1"):
+        assert run(["quad", "--variant", "shifted", "--n", "5,4",
+                    "--kappa", kappa, "--data", str(data)]) == 0
+        values.append(capsys.readouterr().out)
+    assert values[1:] == values[:1] * 2
+
+
 def test_verify_exit_codes(capsys, monkeypatch):
     assert run(["verify", "--n", "5,3"]) == 0
     out = capsys.readouterr().out

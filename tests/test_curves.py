@@ -328,6 +328,20 @@ def test_sample_curve_rejects_non_finite_range(t_range):
         sample_curve(c, 10, t_range)
 
 
+@pytest.mark.parametrize("t", [math.inf, 1e308, "a", math.nan, 10**400])
+def test_lc_eval_rejects_a_parameter_that_is_not_finite(t):
+    c = LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 1))
+    with pytest.raises(InvalidRange, match="not finite"):
+        lc_eval(c, t)
+
+
+@pytest.mark.parametrize("t", [math.nan, -math.inf, 1e308, None, 1j])
+def test_general_eval_rejects_a_parameter_that_is_not_finite(t):
+    c = GeneralCurve(q=(1, 2), alpha=(0.0, 0.0), u=(1, 1))
+    with pytest.raises(InvalidRange, match="not finite"):
+        general_eval(c, t)
+
+
 @pytest.mark.parametrize("count", [MAX_BOX_CELLS + 1, 10**30])
 def test_sample_curve_rejects_too_many_samples(count):
     c = LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 1))

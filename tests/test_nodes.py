@@ -357,7 +357,7 @@ def test_lookup_keys_are_python_ints(spec):
 def test_node_set_matches_definition(spec):
     # The indices i of the box [0, m] whose entries i_j - kappa_j all share
     # one parity, in lexicographic order; the parity is that shared bit.
-    kappa = spec.kappa or (0,) * spec.dim
+    kappa = (0,) * spec.dim if spec.kappa is None else spec.kappa
     box = itertools.product(*(range(mj + 1) for mj in spec.m))
     want = [
         list(i) for i in box
@@ -525,3 +525,42 @@ def test_node_spec_rejects_bad_n():
         NodeSpec(n=forged)
     with pytest.raises(CoprimalityViolation):
         NodeSpec(n=forged, kappa=(0, 1))
+
+
+def _spec_calls():
+    """Entry points that take a NodeSpec, each as a function of the spec."""
+    from lisscheb import curves, interp, spectral, verify
+
+    return {
+        "build_node_set": build_node_set,
+        "build_gamma": build_gamma,
+        "variety_membership": lambda s: variety_membership(s, (0.0, 0.0)),
+        "class_map_shifted": lambda s: class_map_shifted(s, 0, (0,)),
+        "alias_integral": lambda s: transform.alias_integral(s, (0, 0)),
+        "integrate": lambda s: quad.integrate(transform.SampleVector(s, {})),
+        "fundamental": lambda s: interp.fundamental(s, (0, 0)),
+        "kernel_eval": lambda s: kernel_eval(s, (0.0, 0.0), (0.0, 0.0)),
+        "norm_sq": lambda s: spectral.norm_sq(s, (0, 0)),
+        "run_suites": verify.run_suites,
+        "ChebExpansion": lambda s: ChebExpansion(gamma_set=s, coeffs=[1.0]),
+        "class_map_standard": lambda n: class_map_standard(n, 7),
+        "multiplicity_profile": lambda n: curves.multiplicity_profile(n, 7),
+        "self_intersection_counts": curves.self_intersection_counts,
+        "total_node_count": curves.total_node_count,
+    }
+
+
+_TAKES_N = ("class_map_standard", "multiplicity_profile",
+            "self_intersection_counts", "total_node_count")
+
+
+@pytest.mark.parametrize("name", list(_spec_calls()))
+@pytest.mark.parametrize("bad", [(5, 3), None, "5,3"])
+def test_entry_points_reject_a_spec_of_the_wrong_type(name, bad):
+    call = _spec_calls()[name]
+    if name in _TAKES_N and bad == (5, 3):
+        # A frequency vector may be a plain sequence, as NodeSpec's n is.
+        assert call(bad) == call(N53)
+        return
+    with pytest.raises(InvalidParameter):
+        call(bad)

@@ -345,7 +345,10 @@ def test_fast_matches_naive_on_small_specs(spec):
     # the fast path gathers and scales every variant right, not only the
     # fixed specs above.
     ns = build_node_set(spec)
-    rng = np.random.default_rng(spec.n.entries + (spec.kappa or ()))
+    # A seed takes entries in [0, 2^32): reduce kappa, which may be negative.
+    kappa = () if spec.kappa is None else spec.kappa
+    seed = spec.n.entries + tuple(k % 2**32 for k in kappa)
+    rng = np.random.default_rng(seed)
     for complex_valued in (False, True):
         h = random_samples(spec, rng, complex_valued)
         fast = coefficients_fast(h, node_set=ns)
