@@ -129,8 +129,13 @@ def lc_eval(curve: LCCurve, t: float) -> Point:
 
     Raises InvalidRange for a t that curve_parameters would reject.
     """
+    _check_finite(max(curve.n.coproducts), t)
+    return _lc_point(curve, t)
+
+
+def _lc_point(curve: LCCurve, t: float) -> Point:
+    """lc_eval's value at a t already checked, as sample_curve's are."""
     n = curve.n
-    _check_finite(max(n.coproducts), t)
     eps = curve.epsilon
     return tuple(
         s * math.cos(p * t - k * math.pi / (eps * ni))
@@ -269,7 +274,7 @@ def sample_curve(
 ) -> List[Point]:
     """Sample the curve at curve_parameters(curve, num_samples, t_range)."""
     t = curve_parameters(curve, num_samples, t_range)
-    return [lc_eval(curve, ti) for ti in t]
+    return [_lc_point(curve, ti) for ti in t]
 
 
 def curve_parameters(
@@ -295,13 +300,14 @@ def curve_parameters(
 
 def _check_finite(freq: int, *ts) -> None:
     """Raise InvalidRange unless the ts are real numbers whose magnitudes
-    sum, times freq, to a finite float: none is NaN, infinite or an int
+    sum, times freq, to a finite float: none is NaN, infinite or a number
     that leaves the float range at that frequency.  Two ts are a range, and
-    their sum bounds its length."""
+    their sum bounds its length.  Python floats keep numpy scalars from
+    warning on overflow."""
     try:
         finite = all(isinstance(t, numbers.Real) for t in ts) and (
-            math.isfinite(freq * sum(map(abs, ts))))
-    except OverflowError:
+            math.isfinite(freq * sum(abs(float(t)) for t in ts)))
+    except OverflowError:  # an int past the float range
         finite = False
     if not finite:
         what = "range [%s, %s]" % ts if len(ts) == 2 else repr(ts[0])

@@ -321,6 +321,8 @@ def test_sample_curve_errors():
     (-1e308, 1e308), (1e308, 1e308),
     # Python ints beyond the float range, and one that overflows at 5 t.
     (0, 10**400), (-(10**400), 0.0), (0, 10**308),
+    # numpy floats that overflow at 5 t, and in the sum of the ends.
+    (0.0, np.float64(1e308)), (np.float64(-1e308), np.float64(1e308)),
 ])
 def test_sample_curve_rejects_non_finite_range(t_range):
     c = LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 1))
@@ -328,7 +330,9 @@ def test_sample_curve_rejects_non_finite_range(t_range):
         sample_curve(c, 10, t_range)
 
 
-@pytest.mark.parametrize("t", [math.inf, 1e308, "a", math.nan, 10**400])
+@pytest.mark.parametrize(
+    "t", [math.inf, 1e308, "a", math.nan, 10**400, np.float64(1e308)]
+)
 def test_lc_eval_rejects_a_parameter_that_is_not_finite(t):
     c = LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 1))
     with pytest.raises(InvalidRange, match="not finite"):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from strategies import small_specs
 
 from lisscheb.congruence import DimensionVector, validate_pairwise_coprime
-from lisscheb.curves import LCCurve, lc_eval_at_index
+from lisscheb.curves import LCCurve, lc_eval_at_index, multiplicity_profile
+from lisscheb.curves import self_intersection_counts, total_node_count
 from lisscheb.errors import (
     CoprimalityViolation,
     DomainViolation,
@@ -18,7 +19,7 @@ from lisscheb.errors import (
     OverflowDimension,
 )
 from lisscheb.interp import ChebExpansion, cheb_T_eval, expansion_eval
-from lisscheb.interp import kernel_eval
+from lisscheb.interp import fundamental, kernel_eval
 from lisscheb import quad, transform
 from lisscheb.nodes import (
     MAX_BOX_CELLS,
@@ -33,7 +34,8 @@ from lisscheb.nodes import (
     int_tuples,
     variety_membership,
 )
-from lisscheb.spectral import build_gamma
+from lisscheb.spectral import build_gamma, norm_sq
+from lisscheb.verify import run_suites
 
 N53 = validate_pairwise_coprime((5, 3))
 N532 = validate_pairwise_coprime((5, 3, 2))
@@ -527,38 +529,34 @@ def test_node_spec_rejects_bad_n():
         NodeSpec(n=forged, kappa=(0, 1))
 
 
-def _spec_calls():
-    """Entry points that take a NodeSpec, each as a function of the spec."""
-    from lisscheb import curves, interp, spectral, verify
-
-    return {
-        "build_node_set": build_node_set,
-        "build_gamma": build_gamma,
-        "variety_membership": lambda s: variety_membership(s, (0.0, 0.0)),
-        "class_map_shifted": lambda s: class_map_shifted(s, 0, (0,)),
-        "alias_integral": lambda s: transform.alias_integral(s, (0, 0)),
-        "integrate": lambda s: quad.integrate(transform.SampleVector(s, {})),
-        "fundamental": lambda s: interp.fundamental(s, (0, 0)),
-        "kernel_eval": lambda s: kernel_eval(s, (0.0, 0.0), (0.0, 0.0)),
-        "norm_sq": lambda s: spectral.norm_sq(s, (0, 0)),
-        "run_suites": verify.run_suites,
-        "ChebExpansion": lambda s: ChebExpansion(gamma_set=s, coeffs=[1.0]),
-        "class_map_standard": lambda n: class_map_standard(n, 7),
-        "multiplicity_profile": lambda n: curves.multiplicity_profile(n, 7),
-        "self_intersection_counts": curves.self_intersection_counts,
-        "total_node_count": curves.total_node_count,
-    }
-
-
-_TAKES_N = ("class_map_standard", "multiplicity_profile",
-            "self_intersection_counts", "total_node_count")
+# Entry points that take a NodeSpec, or a frequency vector n (TAKES_N),
+# each as a function of that argument.
+SPEC_CALLS = {
+    "build_node_set": build_node_set,
+    "build_gamma": build_gamma,
+    "variety_membership": lambda s: variety_membership(s, (0.0, 0.0)),
+    "class_map_shifted": lambda s: class_map_shifted(s, 0, (0,)),
+    "alias_integral": lambda s: transform.alias_integral(s, (0, 0)),
+    "integrate": lambda s: quad.integrate(transform.SampleVector(s, {})),
+    "fundamental": lambda s: fundamental(s, (0, 0)),
+    "kernel_eval": lambda s: kernel_eval(s, (0.0, 0.0), (0.0, 0.0)),
+    "norm_sq": lambda s: norm_sq(s, (0, 0)),
+    "run_suites": run_suites,
+    "ChebExpansion": lambda s: ChebExpansion(gamma_set=s, coeffs=[1.0]),
+    "class_map_standard": lambda n: class_map_standard(n, 7),
+    "multiplicity_profile": lambda n: multiplicity_profile(n, 7),
+    "self_intersection_counts": self_intersection_counts,
+    "total_node_count": total_node_count,
+}
+TAKES_N = ("class_map_standard", "multiplicity_profile",
+           "self_intersection_counts", "total_node_count")
 
 
-@pytest.mark.parametrize("name", list(_spec_calls()))
+@pytest.mark.parametrize("name", list(SPEC_CALLS))
 @pytest.mark.parametrize("bad", [(5, 3), None, "5,3"])
 def test_entry_points_reject_a_spec_of_the_wrong_type(name, bad):
-    call = _spec_calls()[name]
-    if name in _TAKES_N and bad == (5, 3):
+    call = SPEC_CALLS[name]
+    if name in TAKES_N and bad == (5, 3):
         # A frequency vector may be a plain sequence, as NodeSpec's n is.
         assert call(bad) == call(N53)
         return
