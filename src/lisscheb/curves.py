@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
 from .congruence import DimensionVector, crt_solve, integer_tuple
 from .congruence import validate_pairwise_coprime
-from .errors import IndexOutOfRange, InvalidParameter, InvalidRange, ZeroEntry
-from .nodes import MAX_BOX_CELLS
+from .errors import InvalidParameter, InvalidRange, ZeroEntry
+from .nodes import MAX_BOX_CELLS, class_map_standard
 from .trig import cos_pi_ratio
 
 Point = Tuple[float, ...]
@@ -70,13 +70,17 @@ class LCCurve:
 
     The epsilon=1 curve with shift kappa coincides pointwise with the
     epsilon=2 curve with shift 2*kappa.  ``n``, a DimensionVector or a
-    sequence of integers, is validated as NodeSpec validates it.
+    sequence of integers, is validated as NodeSpec validates it.  It is the
+    GeneralCurve (q, alpha, u) of its read-only q = P[n] and alpha_i =
+    pi r_i/(eps*n_i), r_i = kappa_i reduced exactly into (-eps*n_i, eps*n_i].
     """
 
     n: DimensionVector
     epsilon: int
     kappa: Tuple[int, ...]
     u: Tuple[int, ...]
+    q: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    alpha: Tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.epsilon not in (1, 2):
@@ -89,6 +93,11 @@ class LCCurve:
             raise InvalidParameter("kappa and u must match the dimension of n")
         if any(s not in (-1, 1) for s in self.u):
             raise InvalidParameter("signs must be -1 or +1")
+        m = [self.epsilon * ni for ni in n.entries]
+        r = [mi - (mi - k) % (2 * mi) for k, mi in zip(self.kappa, m)]
+        object.__setattr__(self, "q", n.coproducts)
+        object.__setattr__(self, "alpha", tuple(
+            ri * math.pi / mi for ri, mi in zip(r, m)))
 
     @property
     def dim(self) -> int:
@@ -118,28 +127,23 @@ def general_eval(curve: GeneralCurve, t: float) -> Point:
     Raises InvalidRange for a t that curve_parameters would reject.
     """
     _check_finite(max(map(abs, curve.q)), t)
-    return tuple(
-        s * math.cos(q * t - a)
-        for q, a, s in zip(curve.q, curve.alpha, curve.u)
-    )
+    return _point(curve, t)
 
 
 def lc_eval(curve: LCCurve, t: float) -> Point:
-    """Evaluate component i as u_i * cos(P_i[n]*t - kappa_i*pi/(eps*n_i)).
+    """Evaluate component i as u_i * cos(P_i[n]*t - alpha_i), LCCurve's alpha.
 
     Raises InvalidRange for a t that curve_parameters would reject.
     """
-    _check_finite(max(curve.n.coproducts), t)
-    return _lc_point(curve, t)
+    _check_finite(max(curve.q), t)
+    return _point(curve, t)
 
 
-def _lc_point(curve: LCCurve, t: float) -> Point:
-    """lc_eval's value at a t already checked, as sample_curve's are."""
-    n = curve.n
-    eps = curve.epsilon
+def _point(curve, t: float) -> Point:
+    """u_i cos(q_i t - alpha_i) at a t already checked."""
     return tuple(
-        s * math.cos(p * t - k * math.pi / (eps * ni))
-        for p, ni, k, s in zip(n.coproducts, n.entries, curve.kappa, curve.u)
+        s * math.cos(q * t - a)
+        for q, a, s in zip(curve.q, curve.alpha, curve.u)
     )
 
 
@@ -175,7 +179,7 @@ def is_degenerate(curve: LCCurve) -> bool:
 def normalize(curve: LCCurve) -> NormalForm:
     """Bring an epsilon=2 curve into its shifted standard forms.
 
-    Returns the smallest shift index r' in [0, 4*P[n]) such that
+    Returns the smallest shift index r' in [0, 2*P[n]) such that
     shifting the curve by t_{r'} yields the curve with kappa'_1 = 0 and
     kappa'_i in {0, 1}, together with the per-dimension sin/cos form
     (kappa'_i a multiple of n_i).  Both are found by solving simultaneous
@@ -183,44 +187,28 @@ def normalize(curve: LCCurve) -> NormalForm:
     """
     if curve.epsilon != 2:
         raise InvalidParameter("normalize expects an epsilon=2 curve")
-    n = curve.n
-    kappa = curve.kappa
-    d = n.dim
-    two_p = 2 * n.product
+    n, kappa = curve.n.entries, curve.kappa
+
+    def signs(r, kappa_prime):  # u_i flips per 2 n_i of r + kappa_i - kappa'_i
+        return tuple(s * (-1) ** ((r + k - b) % (4 * ni) // (2 * ni))
+                     for s, k, b, ni in zip(curve.u, kappa, kappa_prime, n))
 
     # {0,1} form: kappa'_i is forced by parity once kappa'_1 = 0 is imposed,
     # and r' must satisfy r' = kappa'_i - kappa_i mod 2*n_i for every i.
-    kp = tuple((kappa[i] - kappa[0]) % 2 for i in range(d))
-    r_prime = crt_solve(
-        [(kp[i] - kappa[i], 2 * n.entries[i]) for i in range(d)]
-    )
-    rho = tuple(
-        ((r_prime + kappa[i] - kp[i]) % (4 * n.entries[i])) // (2 * n.entries[i])
-        for i in range(d)
-    )
-    up = tuple((-1) ** rho[i] * curve.u[i] for i in range(d))
+    kp = tuple((k - kappa[0]) % 2 for k in kappa)
+    r_prime = crt_solve([(b - k, 2 * ni) for b, k, ni in zip(kp, kappa, n)])
 
     # sin/cos form: kappa'_i = delta_i * n_i, so r' = -kappa_i mod n_i.
-    r_trig = crt_solve([(-kappa[i], n.entries[i]) for i in range(d)])
-    delta = tuple(
-        ((r_trig + kappa[i]) % (2 * n.entries[i])) // n.entries[i]
-        for i in range(d)
-    )
-    rho_trig = tuple(
-        ((r_trig + kappa[i] - delta[i] * n.entries[i]) % (4 * n.entries[i]))
-        // (2 * n.entries[i])
-        for i in range(d)
-    )
-    u_trig = tuple((-1) ** rho_trig[i] * curve.u[i] for i in range(d))
-    tags = tuple("sin" if delta[i] == 1 else "cos" for i in range(d))
+    r_trig = crt_solve([(-k, ni) for k, ni in zip(kappa, n)])
+    delta = tuple((r_trig + k) % (2 * ni) // ni for k, ni in zip(kappa, n))
 
     return NormalForm(
         kappa_prime=kp,
-        u_prime=up,
-        r_prime=r_prime % (2 * two_p),
-        trig_tags=tags,
-        r_prime_trig=r_trig % (2 * two_p),
-        u_prime_trig=u_trig,
+        u_prime=signs(r_prime, kp),
+        r_prime=r_prime,
+        trig_tags=tuple("sin" if b else "cos" for b in delta),
+        r_prime_trig=r_trig,
+        u_prime_trig=signs(r_trig, [b * ni for b, ni in zip(delta, n)]),
     )
 
 
@@ -234,10 +222,9 @@ def multiplicity_profile(
     period.  l must lie in [0, 2*P[n]).
     """
     n = validate_pairwise_coprime(n)
-    (l,) = integer_tuple((l,), "parameter index")
-    if not 0 <= l < 2 * n.product:
-        raise IndexOutOfRange(f"l={l} outside [0, {2 * n.product})")
-    face = frozenset(i for i, ni in enumerate(n.entries) if l % ni != 0)
+    index = class_map_standard(n, l)
+    face = frozenset(j for j, (i, nj) in enumerate(zip(index, n.entries))
+                     if 0 < i < nj)
     return face, 2 ** len(face)
 
 
@@ -274,7 +261,7 @@ def sample_curve(
 ) -> List[Point]:
     """Sample the curve at curve_parameters(curve, num_samples, t_range)."""
     t = curve_parameters(curve, num_samples, t_range)
-    return [_lc_point(curve, ti) for ti in t]
+    return [_point(curve, ti) for ti in t]
 
 
 def curve_parameters(
@@ -288,7 +275,7 @@ def curve_parameters(
     """
     (num_samples,) = integer_tuple((num_samples,), "sample count")
     t0, t1 = t_range
-    _check_finite(max(curve.n.coproducts), t0, t1)
+    _check_finite(max(curve.q), t0, t1)
     if t1 < t0:
         raise InvalidRange(f"empty parameter range [{t0}, {t1}]")
     if not 2 <= num_samples <= MAX_BOX_CELLS:
