@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from .congruence import DimensionVector, crt_solve, integer_tuple
 from .congruence import validate_pairwise_coprime
-from .errors import InvalidParameter, InvalidRange, ZeroEntry
+from .errors import InvalidParameter, InvalidRange, ZeroEntry, check_type
 from .nodes import MAX_BOX_CELLS, class_map_standard
 from .trig import cos_pi_ratio
 
@@ -126,6 +126,7 @@ def general_eval(curve: GeneralCurve, t: float) -> Point:
 
     Raises InvalidRange for a t that curve_parameters would reject.
     """
+    check_type(curve, GeneralCurve)
     _check_finite(max(map(abs, curve.q)), t)
     return _point(curve, t)
 
@@ -135,6 +136,7 @@ def lc_eval(curve: LCCurve, t: float) -> Point:
 
     Raises InvalidRange for a t that curve_parameters would reject.
     """
+    check_type(curve, LCCurve)
     _check_finite(max(curve.q), t)
     return _point(curve, t)
 
@@ -154,6 +156,7 @@ def lc_eval_at_index(curve: LCCurve, l: int) -> Point:
     P_i[n]*(l - kappa_i)*pi / (eps*P[n]); evaluating it through the exact
     reduction makes curve samples bit-identical to node coordinates.
     """
+    check_type(curve, LCCurve)
     if type(l) is not int:  # plain ints, as suite_curve passes, skip the check
         (l,) = integer_tuple((l,), "parameter index")
     n = curve.n
@@ -170,6 +173,7 @@ def is_degenerate(curve: LCCurve) -> bool:
     For epsilon=2 this holds iff all kappa_i share one parity; every
     epsilon=1 curve is degenerate.
     """
+    check_type(curve, LCCurve)
     if curve.epsilon == 1:
         return True
     parities = {k % 2 for k in curve.kappa}
@@ -185,6 +189,7 @@ def normalize(curve: LCCurve) -> NormalForm:
     (kappa'_i a multiple of n_i).  Both are found by solving simultaneous
     congruences; the shift always exists.
     """
+    check_type(curve, LCCurve)
     if curve.epsilon != 2:
         raise InvalidParameter("normalize expects an epsilon=2 curve")
     n, kappa = curve.n.entries, curve.kappa
@@ -271,8 +276,10 @@ def curve_parameters(
 
     Raises InvalidRange for fewer than two or more than MAX_BOX_CELLS
     samples, a reversed range, and a range whose ends are NaN or infinite or
-    overflow once multiplied by the curve's frequencies.
+    overflow once multiplied by the curve's frequencies, and InvalidParameter
+    for a curve that is not an LCCurve.
     """
+    check_type(curve, LCCurve)
     (num_samples,) = integer_tuple((num_samples,), "sample count")
     t0, t1 = t_range
     _check_finite(max(curve.q), t0, t1)

@@ -1,5 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the argument type check
+that raises one."""
 
+import reprlib
 from typing import Optional
 
 
@@ -44,6 +46,13 @@ class OverflowDimension(LisschebError):
 class InvalidParameter(LisschebError, ValueError):
     """A frequency, shift or sign vector has a wrong length, a non-integer
     entry or a value outside its admissible set."""
+
+
+def check_type(value, kind: type) -> None:
+    """Raise InvalidParameter if value is not an instance of kind."""
+    if not isinstance(value, kind):
+        raise InvalidParameter(
+            f"expected a {kind.__name__}, got {reprlib.repr(value)}")
 
 
 class IncompatibleCongruences(LisschebError):

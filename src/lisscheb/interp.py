@@ -15,7 +15,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .congruence import integer_tuple
-from .errors import IndexOutOfRange, SpecMismatch
+from .errors import IndexOutOfRange, InvalidParameter, SpecMismatch
+from .errors import check_type
 from .nodes import MultiIndex, NodeSpec, build_node_set, check_points
 from .spectral import SpectralIndex, build_gamma
 from .transform import ChebExpansion, SampleVector, chi_matrix, coefficients_fast
@@ -30,13 +31,18 @@ _EVAL_BLOCK = 1 << 18
 def cheb_T_eval(gamma: SpectralIndex, x: Sequence[float]) -> float:
     """Evaluate the tensor Chebyshev polynomial T_gamma at a point.
 
-    Raises InvalidParameter for a degree that is not an integer.
+    Raises InvalidParameter for a degree that is not an integer or that a
+    float cannot hold.
     """
     gamma = integer_tuple(gamma, "gamma")
     x = check_points([x], len(gamma))[0].tolist()
     out = 1.0
-    for gj, xj in zip(gamma, x):
-        out *= math.cos(gj * math.acos(xj))
+    try:
+        for gj, xj in zip(gamma, x):
+            out *= math.cos(gj * math.acos(xj))
+    except OverflowError:  # an int degree past the float range
+        raise InvalidParameter(
+            "a degree of gamma is too large for a float") from None
     return out
 
 
@@ -84,8 +90,10 @@ def expansion_eval(p: ChebExpansion, x: Sequence[float]) -> Scalar:
     take one-dimensional tables T_k(x_j) = cos(k arccos x_j), so the cost
     is linear in the spectral set size, and both sum the terms in
     gamma-set order, so the values agree bit for bit.  Points are checked
-    by nodes.check_points.
+    by nodes.check_points.  Raises InvalidParameter for a p that is not a
+    ChebExpansion.
     """
+    check_type(p, ChebExpansion)
     gs = p.gamma_set
     # An array of rows, or a sequence of rows even of different lengths;
     # anything else, a scalar or None too, is one point for check_points.
@@ -154,8 +162,11 @@ def expansion_inner_product(p: ChebExpansion, q: ChebExpansion) -> Scalar:
     """The weighted-integral inner product, evaluated through orthogonality.
 
     Equals sum_gamma p_gamma conj(q_gamma) 2^(-e(gamma)), one weighted sum
-    over the spectral set.
+    over the spectral set.  Raises InvalidParameter for an argument that is
+    not a ChebExpansion.
     """
+    check_type(p, ChebExpansion)
+    check_type(q, ChebExpansion)
     if p.gamma_set.spec != q.gamma_set.spec:
         raise SpecMismatch("expansions built from different specs")
     weights = np.exp2(-p.gamma_set.e_counts.astype(np.float64))

@@ -29,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     OverflowDimension,
+    check_type,
 )
 from .trig import cos_pi_ratio
 
@@ -231,8 +232,7 @@ def chi_tables(spec: NodeSpec) -> List[np.ndarray]:
 
 def check_spec(spec: NodeSpec) -> None:
     """Raise InvalidParameter if spec is not a NodeSpec."""
-    if not isinstance(spec, NodeSpec):
-        raise InvalidParameter(f"expected a NodeSpec, got {spec!r}")
+    check_type(spec, NodeSpec)
 
 
 def check_box_size(corner: Sequence[int]) -> None:
@@ -399,9 +399,13 @@ def variety_membership(
 
     The variety is the set where the (-1)^{kappa_i} T_{m_i}(x_i) all
     equal, kappa = 0 for the standard family.  Raises DomainViolation for
-    a point that check_points rejects.
+    a point that check_points rejects and InvalidParameter for a tol that is
+    not a finite real number >= 0.
     """
     check_spec(spec)
+    if not isinstance(tol, numbers.Real) or not (
+            0 <= tol <= sys.float_info.max):
+        raise InvalidParameter(f"tol must be a finite real >= 0, got {tol!r}")
     x = check_points([x], spec.dim)[0].tolist()
     vals = [
         (-1) ** k * math.cos(mj * math.acos(xj))

@@ -9,13 +9,15 @@ lattice the rule returns the signed alias value instead of the integral.
 from __future__ import annotations
 
 import itertools
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .congruence import integer_tuple
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_type
 from .nodes import NodeSet, check_box_size
 from .transform import (
     _scatter_grid,
@@ -54,9 +56,14 @@ def exactness_table(
     cos(pi k i / m) is even and 2m-periodic in k, S_k = S_{2m-k} and any
     frequency reads S at min(k mod 2m_j, 2m_j - k mod 2m_j), so every
     box_j >= 0 is accepted, including boxes wider than 2m_j - 1.  Raises
-    InvalidParameter for any other box, OverflowDimension for a box of more
-    than nodes.MAX_BOX_CELLS cells.
+    InvalidParameter for any other box, a node_set that is not a NodeSet or
+    a tol that is not a finite real number >= 0, and OverflowDimension for
+    a box of more than nodes.MAX_BOX_CELLS cells.
     """
+    check_type(node_set, NodeSet)
+    if not isinstance(tol, numbers.Real) or not (
+            0 <= tol <= sys.float_info.max):
+        raise InvalidParameter(f"tol must be a finite real >= 0, got {tol!r}")
     spec = node_set.spec
     box = integer_tuple(box, "box")
     if len(box) != spec.dim or min(box) < 0:

@@ -61,9 +61,14 @@ class GammaSet:
         first, which keeps an entry outside the box outside and makes it
         fit int64.  Members are found in a box grid of positions, which
         build_gamma's sets keep and any other set builds on each call.
+        Raises InvalidParameter for rows that are not an (M, d) array.
         """
         dims = np.array(self.spec.m) + 1
-        rows = np.asarray(rows).clip(-1, dims.max()).astype(np.int64)
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != len(dims):
+            raise InvalidParameter(f"rows form an array of shape {rows.shape},"
+                                   f" expected (M, {len(dims)})")
+        rows = rows.clip(-1, dims.max()).astype(np.int64)
         inside = ((rows >= 0) & (rows < dims)).all(axis=1)
         grid = self._grid if "_grid" in vars(self) else self._box_grid()
         out = np.full(rows.shape[0], -1, dtype=np.intp)
@@ -151,11 +156,14 @@ def involution(m: Tuple[int, ...], gamma: SpectralIndex) -> SpectralIndex:
     gamma_i/m_i; the image replaces gamma_k by m_k - gamma_k.  On the
     odd-parity part of the spectral set this map is an involution pairing
     it with the complement of the even part.  Raises InvalidParameter for
-    an m or gamma that is not integers, or a gamma not as long as m.
+    an m or gamma that is not integers, a gamma not as long as m, or an
+    m_i below 1.
     """
     m, gamma = integer_tuple(m, "m"), integer_tuple(gamma, "gamma")
     if not gamma or len(gamma) != len(m):
         raise InvalidParameter(f"gamma {gamma} must have one entry per m_i")
+    if min(m) < 1:
+        raise InvalidParameter(f"m entries must be at least 1, got {m}")
     k = 0
     for i in range(1, len(gamma)):
         # gamma_i/m_i >= gamma_k/m_k, compared in integers.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .congruence import integer_tuple
 from .errors import DomainViolation, IndexOutOfRange, InvalidParameter
-from .errors import NotInGammaSet, SpecMismatch
+from .errors import NotInGammaSet, SpecMismatch, check_type
 from .nodes import MultiIndex, NodeSet, NodeSpec, _cos_table, build_node_set
 from .nodes import check_spec, chi_tables
 from .spectral import GammaSet, SpectralIndex, build_gamma
@@ -71,10 +71,7 @@ class ChebExpansion:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.gamma_set, GammaSet):
-            raise InvalidParameter(
-                f"expected a GammaSet, got {self.gamma_set!r}"
-            )
+        check_type(self.gamma_set, GammaSet)
         coeffs = _coefficient_array(self.gamma_set, self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -217,10 +214,13 @@ def aligned_values(
 ) -> np.ndarray:
     """Order the sample dict along the node set, validating its domain.
 
-    Raises InvalidParameter for values that are not a mapping or a value
-    that is not a number, IndexOutOfRange for a wrong sample count or
-    index and DomainViolation for NaN, inf or an int too large for a float.
+    Raises InvalidParameter for an h that is not a SampleVector, a node_set
+    that is not a NodeSet, values that are not a mapping or a value that is
+    not a number, IndexOutOfRange for a wrong sample count or index and
+    DomainViolation for NaN, inf or an int too large for a float.
     """
+    check_type(h, SampleVector)
+    check_type(node_set, NodeSet)
     if h.spec != node_set.spec:
         raise SpecMismatch("sample vector and node set use different specs")
     if not isinstance(h.values, Mapping):
@@ -246,6 +246,7 @@ def aligned_values(
 
 def discrete_integral(h: SampleVector) -> Scalar:
     """The weighted sum over all nodes, sum_i w_i h(i)."""
+    check_type(h, SampleVector)
     node_set = build_node_set(h.spec)
     vals = aligned_values(h, node_set)
     total = np.dot(node_set.weights, vals)
@@ -287,10 +288,11 @@ def coefficients_naive(
     _BLOCK_ENTRIES entries, so time is O(N^2) and memory is bounded.
     Pass ``node_set`` to reuse the spec's node set across calls.
     """
+    check_type(h, SampleVector)
     if node_set is None:
         node_set = build_node_set(h.spec)
     gamma_set = build_gamma(h.spec)
-    wv = node_set.weights * aligned_values(h, node_set)
+    wv = aligned_values(h, node_set) * node_set.weights
     tables = chi_tables(h.spec)
     n = len(node_set)
     rows = max(1, _BLOCK_ENTRIES // n)
@@ -370,6 +372,7 @@ def coefficients_fast(
     spec's node set across calls.  Raises DomainViolation when finite
     samples overflow to a coefficient that is not finite.
     """
+    check_type(h, SampleVector)
     if node_set is None:
         node_set = build_node_set(h.spec)
     gamma_set = build_gamma(h.spec)

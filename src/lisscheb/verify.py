@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quad, transform
 from .curves import LCCurve, lc_eval_at_index
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_type
 from .nodes import NodeSet, NodeSpec, build_node_set, chi_tables
 from .spectral import build_gamma
 
@@ -40,6 +40,7 @@ def suite_orthogonality(node_set: NodeSet) -> List[CheckResult]:
     It is formed one pair of gamma-row blocks at a time, from chi blocks of
     at most _GRAM_BLOCK_ENTRIES entries, so memory is bounded.
     """
+    check_type(node_set, NodeSet)
     spec = node_set.spec
     gs = build_gamma(spec)
     w = node_set.weights
@@ -92,6 +93,7 @@ def suite_curve(node_set: NodeSet) -> List[CheckResult]:
     The standard family has one epsilon=1 curve; the shifted family has an
     epsilon=2 curve per sign pattern off axis g.  Both sample l < 2 eps P[n].
     """
+    check_type(node_set, NodeSet)
     spec = node_set.spec
     g = spec.g_index
     eps = 2 if spec.is_shifted else 1
@@ -117,6 +119,7 @@ def suite_curve(node_set: NodeSet) -> List[CheckResult]:
 
 def suite_quadrature(node_set: NodeSet) -> List[CheckResult]:
     """Weights are positive, normalized, and the rule matches the alias table."""
+    check_type(node_set, NodeSet)
     total = float(node_set.weights.sum())
     box = [2 * mj - 1 for mj in node_set.spec.m]
     ok = quad.exactness_table(node_set, box).ok
@@ -139,6 +142,7 @@ def suite_quadrature(node_set: NodeSet) -> List[CheckResult]:
 
 def suite_transform(node_set: NodeSet) -> List[CheckResult]:
     """Fast and naive coefficient paths agree on random samples."""
+    check_type(node_set, NodeSet)
     rng = np.random.default_rng(_TRANSFORM_SEED)
     worst = 0.0
     for _ in range(_TRANSFORM_TRIALS):
@@ -180,8 +184,12 @@ def run_suites(
 ) -> List[CheckResult]:
     """Run the requested invariant suites against one node set of a spec.
 
-    Raises InvalidParameter, before any suite runs, for an unknown name.
+    Raises InvalidParameter, before any suite runs, for an unknown name
+    or a single string in place of the sequence of names.
     """
+    if isinstance(suites, str):
+        raise InvalidParameter(f"suites must be a sequence of names, "
+                               f"not the string {suites!r}")
     dispatch = _suites()
     for name in suites:
         if name not in dispatch:

@@ -90,6 +90,20 @@ def test_curve_rows(tmp_path):
     assert float(rows[1][2]) == 1.0
 
 
+@pytest.mark.parametrize("kappa, same", [
+    ("100000000000000000000001,0", "1,0"),  # 10**23 is a multiple of 20
+    ("1" + "0" * 400 + ",0", "0,0"),  # beyond the float range
+], ids=["10**23+1", "10**400"])
+def test_curve_reduces_kappa_exactly(tmp_path, kappa, same):
+    paths = [tmp_path / "given.csv", tmp_path / "same.csv"]
+    for k, path in zip((kappa, same), paths):
+        assert run([
+            "curve", "--n", "5,3", "--epsilon", "2", "--kappa", k,
+            "--samples", "3", "--out", str(path),
+        ]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_gamma_csv(tmp_path):
     out = tmp_path / "gamma.csv"
     assert run([

@@ -600,3 +600,13 @@ def test_d1_matches_barycentric_reference():
             continue
         bary = float(np.sum(w * fs / diff) / np.sum(w / diff))
         assert expansion_eval(p, (x,)) == pytest.approx(bary, abs=1e-11)
+
+
+@pytest.mark.parametrize("gamma, x", [
+    ((10**400, 1), (0.1, 0.2)),
+    ((1, -(10**400)), (0.1, 0.2)),
+    ((10**400, 0), (1.0, 1.0)),  # acos(1) = 0 does not save the product
+])
+def test_cheb_T_eval_rejects_a_degree_past_the_float_range(gamma, x):
+    with pytest.raises(InvalidParameter, match="too large for a float"):
+        cheb_T_eval(gamma, x)

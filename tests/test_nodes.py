@@ -11,6 +11,8 @@ from strategies import small_specs
 from lisscheb.congruence import DimensionVector, validate_pairwise_coprime
 from lisscheb.curves import LCCurve, lc_eval_at_index, multiplicity_profile
 from lisscheb.curves import self_intersection_counts, total_node_count
+from lisscheb.curves import general_eval, is_degenerate, lc_eval, normalize
+from lisscheb.curves import curve_parameters, sample_curve
 from lisscheb.errors import (
     CoprimalityViolation,
     DomainViolation,
@@ -19,8 +21,9 @@ from lisscheb.errors import (
     OverflowDimension,
 )
 from lisscheb.interp import ChebExpansion, cheb_T_eval, expansion_eval
-from lisscheb.interp import fundamental, kernel_eval
-from lisscheb import quad, transform
+from lisscheb.interp import expansion_inner_product, fundamental, interpolate
+from lisscheb.interp import kernel_eval
+from lisscheb import quad, transform, verify
 from lisscheb.nodes import (
     MAX_BOX_CELLS,
     Node,
@@ -531,6 +534,9 @@ def test_node_spec_rejects_bad_n():
 
 # Entry points that take a NodeSpec, or a frequency vector n (TAKES_N),
 # each as a function of that argument.
+H53 = transform.SampleVector(
+    NodeSpec(n=N53), dict.fromkeys(build_node_set(NodeSpec(n=N53)).lookup, 1.0))
+P53 = interpolate(H53)
 SPEC_CALLS = {
     "build_node_set": build_node_set,
     "build_gamma": build_gamma,
@@ -547,9 +553,35 @@ SPEC_CALLS = {
     "multiplicity_profile": lambda n: multiplicity_profile(n, 7),
     "self_intersection_counts": self_intersection_counts,
     "total_node_count": total_node_count,
+    # Samples, node sets, expansions and curves of the wrong type.
+    "interpolate": interpolate,
+    "integrate_samples": quad.integrate,
+    "coefficients_naive": transform.coefficients_naive,
+    "coefficients_fast": transform.coefficients_fast,
+    "coefficients_fast_node_set":
+        lambda b: transform.coefficients_fast(H53, node_set=b),
+    "aligned_values": lambda b: transform.aligned_values(H53, b),
+    "aligned_values_samples":
+        lambda b: transform.aligned_values(b, build_node_set(H53.spec)),
+    "expansion_eval": lambda b: expansion_eval(b, (0.1, 0.2)),
+    "expansion_inner_product": lambda b: expansion_inner_product(P53, b),
+    "exactness_table": lambda b: quad.exactness_table(b, [2, 2]),
+    "suite_orthogonality": verify.suite_orthogonality,
+    "suite_curve": verify.suite_curve,
+    "suite_quadrature": verify.suite_quadrature,
+    "suite_transform": verify.suite_transform,
+    "lc_eval": lambda b: lc_eval(b, 0.0),
+    "lc_eval_at_index": lambda b: lc_eval_at_index(b, 0),
+    "sample_curve": lambda b: sample_curve(b, 3),
+    "curve_parameters": lambda b: curve_parameters(b, 3, (0.0, 1.0)),
+    "normalize": normalize,
+    "is_degenerate": is_degenerate,
+    "general_eval": lambda b: general_eval(b, 0.0),
 }
 TAKES_N = ("class_map_standard", "multiplicity_profile",
            "self_intersection_counts", "total_node_count")
+# None is the default of these optional arguments.
+TAKES_NONE = ("coefficients_fast_node_set",)
 
 
 @pytest.mark.parametrize("name", list(SPEC_CALLS))
@@ -560,5 +592,16 @@ def test_entry_points_reject_a_spec_of_the_wrong_type(name, bad):
         # A frequency vector may be a plain sequence, as NodeSpec's n is.
         assert call(bad) == call(N53)
         return
+    if name in TAKES_NONE and bad is None:
+        assert call(bad).coeffs.tolist() == P53.coeffs.tolist()
+        return
     with pytest.raises(InvalidParameter):
         call(bad)
+
+
+@pytest.mark.parametrize("tol", ["a", None, 1j, math.nan, math.inf, -1, 10**400])
+def test_variety_membership_rejects_a_bad_tolerance(tol):
+    # A NaN or negative tolerance used to report a node as off the variety.
+    with pytest.raises(InvalidParameter, match="tol must be"):
+        variety_membership(NodeSpec(n=N53), (1.0, 1.0), tol=tol)
+    assert variety_membership(NodeSpec(n=N53), (1.0, 1.0), tol=0)

@@ -241,3 +241,21 @@ def test_rule_and_curve_properties(spec):
     corner = tuple(slice(2 * mj) for mj in spec.m)
     assert np.array_equal(wide.rule_value[corner], narrow.rule_value)
     assert all(r.passed for r in suite_curve(ns))
+
+
+BAD_TOLERANCES = ["a", None, 1j, math.nan, math.inf, -1, -1e-300, 10**400]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_exactness_table_rejects_a_bad_tolerance(tol):
+    # NaN and negative tolerances used to fail every frequency silently.
+    ns = build_node_set(NodeSpec(n=(5, 3)))
+    with pytest.raises(InvalidParameter, match="tol must be"):
+        exactness_table(ns, [2, 2], tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, np.float64(1e-12), 1e300])
+def test_exactness_table_takes_a_finite_tolerance(tol):
+    ns = build_node_set(NodeSpec(n=(5, 3)))
+    # ok is |rule - target| < tol, so a tolerance of 0 passes nothing.
+    assert exactness_table(ns, [2, 2], tol=tol).ok[0, 0] == (tol > 0)

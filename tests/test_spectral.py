@@ -508,3 +508,22 @@ def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
     assert nodes._cache_bytes == sum(size for _, (_, size) in kept) <= budget
     assert all(sizes[key] == size for key, (_, size) in kept)
     assert {kind for kind, _ in nodes._cache} <= {"gamma", "lookup"}
+
+
+@pytest.mark.parametrize("rows", [
+    np.zeros((2, 3), int),
+    np.zeros(2, int),
+    np.zeros((2, 2, 2), int),
+    np.zeros((0,), int),
+])
+def test_positions_rejects_rows_that_are_not_an_m_by_d_array(rows):
+    gs = build_gamma(NodeSpec(n=(5, 3)))
+    with pytest.raises(InvalidParameter, match=r"expected \(M, 2\)"):
+        gs.positions(rows)
+    assert gs.positions(np.zeros((0, 2), int)).shape == (0,)
+
+
+@pytest.mark.parametrize("m", [(0, 5), (-5, 3), (5, 0)])
+def test_involution_rejects_an_m_below_one(m):
+    with pytest.raises(InvalidParameter, match="at least 1"):
+        involution(m, (1, 1))

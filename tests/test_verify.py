@@ -156,3 +156,10 @@ def _run_in_checkout(script):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_suites_rejects_a_string_of_names():
+    # A string is a sequence of one-letter names; it read as 'c', 'u', ...
+    with pytest.raises(InvalidParameter, match="not the string 'curve'"):
+        verify.run_suites(NodeSpec(n=(5, 3)), "curve")
+    assert verify.run_suites(NodeSpec(n=(5, 3)), ["curve"])[0].passed
