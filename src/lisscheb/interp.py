@@ -15,8 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .congruence import integer_tuple
-from .errors import IndexOutOfRange, InvalidParameter, SpecMismatch
-from .errors import check_type
+from .errors import IndexOutOfRange, InvalidParameter, SpecMismatch, check_type
 from .nodes import MultiIndex, NodeSpec, build_node_set, check_points
 from .spectral import SpectralIndex, build_gamma
 from .transform import ChebExpansion, SampleVector, chi_matrix, coefficients_fast

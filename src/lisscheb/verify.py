@@ -9,6 +9,7 @@ command; they are also reused directly by the test suite.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
@@ -185,14 +186,14 @@ def run_suites(
     """Run the requested invariant suites against one node set of a spec.
 
     Raises InvalidParameter, before any suite runs, for an unknown name
-    or a single string in place of the sequence of names.
+    and for suites that are not a sequence of names (a single string).
     """
-    if isinstance(suites, str):
-        raise InvalidParameter(f"suites must be a sequence of names, "
-                               f"not the string {suites!r}")
+    if isinstance(suites, str) or not isinstance(suites, Iterable):
+        raise InvalidParameter(
+            f"suites must be a sequence of names, got {suites!r}")
     dispatch = _suites()
     for name in suites:
-        if name not in dispatch:
+        if not isinstance(name, str) or name not in dispatch:
             raise InvalidParameter(f"unknown suite {name!r}")
     node_set = build_node_set(spec)
     return [r for name in suites for r in dispatch[name](node_set)]

@@ -533,9 +533,10 @@ def test_node_spec_rejects_bad_n():
 
 
 # Entry points that take a NodeSpec, or a frequency vector n (TAKES_N),
-# each as a function of that argument.
-H53 = transform.SampleVector(
-    NodeSpec(n=N53), dict.fromkeys(build_node_set(NodeSpec(n=N53)).lookup, 1.0))
+# each as a function of that argument; then those that take samples, a node
+# set, an expansion or a curve, as a function of that.
+H53 = transform.SampleVector(NodeSpec(n=N53), dict.fromkeys(
+    build_node_set(NodeSpec(n=N53)).lookup, 1.0))
 P53 = interpolate(H53)
 SPEC_CALLS = {
     "build_node_set": build_node_set,
@@ -553,7 +554,6 @@ SPEC_CALLS = {
     "multiplicity_profile": lambda n: multiplicity_profile(n, 7),
     "self_intersection_counts": self_intersection_counts,
     "total_node_count": total_node_count,
-    # Samples, node sets, expansions and curves of the wrong type.
     "interpolate": interpolate,
     "integrate_samples": quad.integrate,
     "coefficients_naive": transform.coefficients_naive,

@@ -158,8 +158,14 @@ def _run_in_checkout(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_run_suites_rejects_a_string_of_names():
+@pytest.mark.parametrize("suites, match", [
     # A string is a sequence of one-letter names; it read as 'c', 'u', ...
-    with pytest.raises(InvalidParameter, match="not the string 'curve'"):
-        verify.run_suites(NodeSpec(n=(5, 3)), "curve")
+    ("curve", "sequence of names, got 'curve'"),
+    (None, "sequence of names, got None"),
+    (5, "sequence of names, got 5"),
+    ([["curve"]], r"unknown suite \['curve'\]"),
+])
+def test_run_suites_rejects_suites_that_are_not_names(suites, match):
+    with pytest.raises(InvalidParameter, match=match):
+        verify.run_suites(NodeSpec(n=(5, 3)), suites)
     assert verify.run_suites(NodeSpec(n=(5, 3)), ["curve"])[0].passed
