@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from collections.abc import Iterable
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import (
     CoprimalityViolation,
@@ -21,6 +21,7 @@ from .errors import (
     InvalidParameter,
     OverflowDimension,
     ZeroEntry,
+    as_tuple,
 )
 
 # Explicit 64-bit guard: Python ints never wrap, but downstream array code and
@@ -45,21 +46,19 @@ class DimensionVector:
         return len(self.entries)
 
 
-def integer_tuple(values: Iterable[int], what: str) -> Tuple[int, ...]:
-    """The values as a tuple of Python ints.
+def integer_tuple(values: Iterable[int], what: str,
+                  length: Optional[int] = None) -> Tuple[int, ...]:
+    """The values as a tuple of Python ints, length of them if one is given.
 
     Python and numpy integers are accepted; anything else (a float, a
-    string, a bool) or values that are not iterable raise InvalidParameter
-    instead of being truncated.
+    string, a bool), values that are not iterable and a tuple of another
+    length raise InvalidParameter instead of being truncated.
     """
-    if not isinstance(values, Iterable):
-        raise InvalidParameter(f"{what} must be a sequence, got {values!r}")
-    out = []
+    values = as_tuple(values, what, length)
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):
             raise InvalidParameter(f"{what} entries must be integers, got {v!r}")
-        out.append(int(v))
-    return tuple(out)
+    return tuple(map(int, values))
 
 
 def validate_pairwise_coprime(entries: Iterable[int]) -> DimensionVector:
@@ -100,16 +99,15 @@ def crt_solve(congruences: Sequence[Tuple[int, int]]) -> int:
     a_i = a_j mod gcd(k_i, k_j) is checked for every pair first and
     IncompatibleCongruences raised when it fails.  Solutions are merged
     pairwise with modular inverses, so the result is the unique l in
-    [0, lcm(k_1..k_d)).  A residue or modulus that is not an integer
-    raises InvalidParameter.
+    [0, lcm(k_1..k_d)).  A system that is not a sequence of pairs of
+    integers raises InvalidParameter.
     """
-    if not congruences:
+    pairs = [integer_tuple(pair, "congruence", 2)
+             for pair in as_tuple(congruences, "congruences")]
+    if not pairs:
         raise EmptyDimension("congruence system must be non-empty")
-    residues = integer_tuple((a for a, _ in congruences), "residue")
-    moduli = integer_tuple((k for _, k in congruences), "modulus")
-    if min(moduli) < 1:
+    if min(k for _, k in pairs) < 1:
         raise ZeroEntry("moduli must be positive")
-    pairs = list(zip(residues, moduli))
     for (i, (a, k)), (j, (b, m)) in itertools.combinations(
         enumerate(pairs, 1), 2
     ):

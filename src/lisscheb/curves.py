@@ -10,14 +10,13 @@ kappa and a scale epsilon in {1, 2}.
 from __future__ import annotations
 
 import math
-import numbers
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
 from .congruence import DimensionVector, crt_solve, integer_tuple
 from .congruence import validate_pairwise_coprime
-from .errors import InvalidParameter, InvalidRange, ZeroEntry, check_type
+from .errors import InvalidParameter, InvalidRange, ZeroEntry
+from .errors import as_tuple, check_real, check_type
 from .nodes import MAX_BOX_CELLS, class_map_standard
 from .trig import cos_pi_ratio
 
@@ -36,32 +35,21 @@ class GeneralCurve:
         q = integer_tuple(self.q, "frequency")
         if not q:
             raise ZeroEntry("frequency tuple must be non-empty")
-        alpha, u = _phases(self.alpha), integer_tuple(self.u, "sign")
-        if len(alpha) != len(q) or len(u) != len(q):
-            raise InvalidParameter("q, alpha and u must have equal length")
         if math.gcd(*q) != 1:
             raise InvalidParameter("frequencies must have overall gcd 1")
-        if any(s not in (-1, 1) for s in u):
-            raise InvalidParameter("signs must be -1 or +1")
+        alpha = tuple(check_real(a, "phase")
+                      for a in as_tuple(self.alpha, "phases", len(q)))
+        u = _signs(self.u, len(q))
         for name, value in ("q", q), ("alpha", alpha), ("u", u):
             object.__setattr__(self, name, value)
 
 
-def _phases(alpha) -> Tuple[float, ...]:
-    """alpha as a tuple of floats; InvalidParameter for a value that is not
-    a finite real number (a bool, a string, None, a complex number)."""
-    if not isinstance(alpha, Iterable):
-        raise InvalidParameter(f"phases must be a sequence, got {alpha!r}")
-    out = []
-    for a in alpha:
-        try:
-            finite = not isinstance(a, bool) and math.isfinite(a)
-        except (TypeError, OverflowError):  # not a number; an int past floats
-            finite = False
-        if not finite or not isinstance(a, numbers.Real):
-            raise InvalidParameter(f"phases must be finite reals, got {a!r}")
-        out.append(float(a))
-    return tuple(out)
+def _signs(u, d: int) -> Tuple[int, ...]:
+    """u as a tuple of d ints, each -1 or +1."""
+    u = integer_tuple(u, "signs", d)
+    if any(s not in (-1, 1) for s in u):
+        raise InvalidParameter("signs must be -1 or +1")
+    return u
 
 
 @dataclass(frozen=True)
@@ -83,17 +71,16 @@ class LCCurve:
     alpha: Tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.epsilon not in (1, 2):
+        (epsilon,) = integer_tuple((self.epsilon,), "epsilon")
+        if epsilon not in (1, 2):
             raise InvalidParameter("epsilon must be 1 or 2")
         n = validate_pairwise_coprime(self.n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "kappa", integer_tuple(self.kappa, "kappa"))
-        object.__setattr__(self, "u", integer_tuple(self.u, "sign"))
-        if len(self.kappa) != n.dim or len(self.u) != n.dim:
-            raise InvalidParameter("kappa and u must match the dimension of n")
-        if any(s not in (-1, 1) for s in self.u):
-            raise InvalidParameter("signs must be -1 or +1")
-        m = [self.epsilon * ni for ni in n.entries]
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "kappa",
+                           integer_tuple(self.kappa, "kappa", n.dim))
+        object.__setattr__(self, "u", _signs(self.u, n.dim))
+        m = [epsilon * ni for ni in n.entries]
         r = [mi - (mi - k) % (2 * mi) for k, mi in zip(self.kappa, m)]
         object.__setattr__(self, "q", n.coproducts)
         object.__setattr__(self, "alpha", tuple(
@@ -277,11 +264,11 @@ def curve_parameters(
     Raises InvalidRange for fewer than two or more than MAX_BOX_CELLS
     samples, a reversed range, and a range whose ends are NaN or infinite or
     overflow once multiplied by the curve's frequencies, and InvalidParameter
-    for a curve that is not an LCCurve.
+    for a curve that is not an LCCurve or a t_range that is not two values.
     """
     check_type(curve, LCCurve)
     (num_samples,) = integer_tuple((num_samples,), "sample count")
-    t0, t1 = t_range
+    t0, t1 = as_tuple(t_range, "t_range", 2)
     _check_finite(max(curve.q), t0, t1)
     if t1 < t0:
         raise InvalidRange(f"empty parameter range [{t0}, {t1}]")
@@ -293,17 +280,9 @@ def curve_parameters(
 
 
 def _check_finite(freq: int, *ts) -> None:
-    """Raise InvalidRange unless the ts are real numbers whose magnitudes
-    sum, times freq, to a finite float: none is NaN, infinite or a number
-    that leaves the float range at that frequency.  Two ts are a range, and
-    their sum bounds its length.  Python floats keep numpy scalars from
-    warning on overflow."""
-    try:
-        finite = all(isinstance(t, numbers.Real) for t in ts) and (
-            math.isfinite(freq * sum(abs(float(t)) for t in ts)))
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
-        what = "range [%s, %s]" % ts if len(ts) == 2 else repr(ts[0])
-        raise InvalidRange(
-            f"parameter {what} is not finite at the curve's frequencies")
+    """Raise InvalidRange unless the ts are finite reals whose magnitudes
+    sum, times freq, to a finite float.  Two ts are a range, and their sum
+    bounds its length."""
+    span = sum(abs(check_real(t, "parameter", InvalidRange)) for t in ts)
+    check_real(check_real(freq, "frequency", InvalidRange) * span,
+               "parameter times frequency", InvalidRange)

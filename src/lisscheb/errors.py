@@ -1,8 +1,10 @@
-"""Exception types shared across the library, and the argument type check
-that raises one."""
+"""Exception types shared across the library, and the argument checks that
+raise them."""
 
+import math
+import numbers
 import reprlib
-from typing import Optional
+from typing import Optional, Tuple
 
 
 class LisschebError(Exception):
@@ -53,6 +55,34 @@ def check_type(value, kind: type) -> None:
     if not isinstance(value, kind):
         raise InvalidParameter(
             f"expected a {kind.__name__}, got {reprlib.repr(value)}")
+
+
+def as_tuple(values, what: str, length: Optional[int] = None) -> Tuple:
+    """The values as a tuple with length entries, if a length is given.
+    InvalidParameter for values that are not iterable or of another length."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvalidParameter(
+            f"{what} must be a sequence, got {reprlib.repr(values)}") from None
+    if length is not None and len(values) != length:
+        raise InvalidParameter(
+            f"{what} must have {length} entries, got {len(values)}")
+    return values
+
+
+def check_real(value, what: str, error: type = InvalidParameter) -> float:
+    """value as a float; error (InvalidParameter by default) unless it is a
+    real number, not a bool, that a float holds finitely.  Python floats
+    keep numpy scalars from warning on overflow."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if not math.isfinite(x):
+        raise error(f"{what} must be a finite real, got {reprlib.repr(value)}")
+    return x
 
 
 class IncompatibleCongruences(LisschebError):

@@ -10,12 +10,13 @@ expansions so they can be inspected, serialized and re-evaluated.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from collections.abc import Sequence
+from typing import Union
 
 import numpy as np
 
 from .congruence import integer_tuple
-from .errors import IndexOutOfRange, InvalidParameter, SpecMismatch, check_type
+from .errors import IndexOutOfRange, SpecMismatch, check_real, check_type
 from .nodes import MultiIndex, NodeSpec, build_node_set, check_points
 from .spectral import SpectralIndex, build_gamma
 from .transform import ChebExpansion, SampleVector, chi_matrix, coefficients_fast
@@ -30,18 +31,15 @@ _EVAL_BLOCK = 1 << 18
 def cheb_T_eval(gamma: SpectralIndex, x: Sequence[float]) -> float:
     """Evaluate the tensor Chebyshev polynomial T_gamma at a point.
 
-    Raises InvalidParameter for a degree that is not an integer or that a
-    float cannot hold.
+    Raises InvalidParameter for a degree that is not an integer or whose
+    product with arccos x_j a float cannot hold.
     """
     gamma = integer_tuple(gamma, "gamma")
     x = check_points([x], len(gamma))[0].tolist()
     out = 1.0
-    try:
-        for gj, xj in zip(gamma, x):
-            out *= math.cos(gj * math.acos(xj))
-    except OverflowError:  # an int degree past the float range
-        raise InvalidParameter(
-            "a degree of gamma is too large for a float") from None
+    for gj, xj in zip(gamma, x):
+        angle = check_real(gj, "a degree of gamma") * math.acos(xj)
+        out *= math.cos(check_real(angle, "a degree of gamma times arccos x"))
     return out
 
 
@@ -95,9 +93,10 @@ def expansion_eval(p: ChebExpansion, x: Sequence[float]) -> Scalar:
     check_type(p, ChebExpansion)
     gs = p.gamma_set
     # An array of rows, or a sequence of rows even of different lengths;
-    # anything else, a scalar or None too, is one point for check_points.
-    rows = hasattr(x, "__len__") and len(x) and hasattr(x[0], "__len__")
-    if getattr(x, "ndim", 1) == 2 or rows:
+    # anything else, a scalar, None or a mapping too, is one point for
+    # check_points.
+    rows = isinstance(x, Sequence) and len(x) and hasattr(x[0], "__len__")
+    if getattr(x, "ndim", 1) > 1 or rows:
         return _eval_points(p, check_points(x, gs.spec.dim))
     tables = _cheb_table(check_points([x], gs.spec.dim), gs.spec.m)[0]
     columns = [t[gs.elements[:, j]] for j, t in enumerate(tables)]

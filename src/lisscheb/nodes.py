@@ -29,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     OverflowDimension,
+    check_real,
     check_type,
 )
 from .trig import cos_pi_ratio
@@ -67,9 +68,8 @@ class NodeSpec:
         if self.kappa is None:
             return
         # Kept as a tuple of ints, so that specs hash: they key build_gamma.
-        object.__setattr__(self, "kappa", integer_tuple(self.kappa, "kappa"))
-        if len(self.kappa) != self.n.dim:
-            raise InvalidParameter("kappa must match the dimension of n")
+        object.__setattr__(self, "kappa",
+                           integer_tuple(self.kappa, "kappa", self.n.dim))
 
     @property
     def is_shifted(self) -> bool:
@@ -209,7 +209,7 @@ def int_tuples(rows: np.ndarray) -> Iterator[Tuple[int, ...]]:
 def cgl_point(m: int, i: int) -> float:
     """The i-th Chebyshev-Gauss-Lobatto point cos(i*pi/m) on [-1, 1]."""
     m, i = integer_tuple((m, i), "cgl_point argument")
-    if m < 1:
+    if check_real(m, "cgl_point order m") < 1:
         raise InvalidParameter(f"cgl_point order m must be positive, got {m}")
     if not 0 <= i <= m:
         raise IndexOutOfRange(f"index {i} outside [0, {m}]")
@@ -228,11 +228,6 @@ def chi_tables(spec: NodeSpec) -> List[np.ndarray]:
     serves the products chi_gamma(i) after reducing gamma_j i_j mod 2 m_j.
     """
     return [_cos_table(mj) for mj in spec.m]
-
-
-def check_spec(spec: NodeSpec) -> None:
-    """Raise InvalidParameter if spec is not a NodeSpec."""
-    check_type(spec, NodeSpec)
 
 
 def check_box_size(corner: Sequence[int]) -> None:
@@ -263,7 +258,7 @@ def _node_indices(spec: NodeSpec) -> np.ndarray:
 
 def build_node_set(spec: NodeSpec) -> NodeSet:
     """Enumerate the node family of a spec with points, weights and parities."""
-    check_spec(spec)
+    check_type(spec, NodeSpec)
     indices = _node_indices(spec)
     m = spec.m
     parities = ((indices[:, 0] + spec.shift[0] % 2) % 2).astype(np.uint8)
@@ -300,7 +295,7 @@ def class_map_shifted(
     the representative of +-(l - kappa_g) mod 4n_g inside [0, 2n_g]; the
     remaining components fold +-(l + 2 rho_i n_i - kappa_i) the same way.
     """
-    check_spec(spec)
+    check_type(spec, NodeSpec)
     if not spec.is_shifted:
         raise InvalidParameter("class_map_shifted needs a shifted spec")
     (l,) = integer_tuple((l,), "parameter index")
@@ -402,10 +397,9 @@ def variety_membership(
     a point that check_points rejects and InvalidParameter for a tol that is
     not a finite real number >= 0.
     """
-    check_spec(spec)
-    if not isinstance(tol, numbers.Real) or not (
-            0 <= tol <= sys.float_info.max):
-        raise InvalidParameter(f"tol must be a finite real >= 0, got {tol!r}")
+    check_type(spec, NodeSpec)
+    if check_real(tol, "tol") < 0:
+        raise InvalidParameter(f"tol must be >= 0, got {tol!r}")
     x = check_points([x], spec.dim)[0].tolist()
     vals = [
         (-1) ** k * math.cos(mj * math.acos(xj))

@@ -9,15 +9,13 @@ lattice the rule returns the signed alias value instead of the integral.
 from __future__ import annotations
 
 import itertools
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .congruence import integer_tuple
-from .errors import InvalidParameter, check_type
+from .errors import InvalidParameter, check_real, check_type
 from .nodes import NodeSet, check_box_size
 from .transform import (
     _scatter_grid,
@@ -61,13 +59,12 @@ def exactness_table(
     a box of more than nodes.MAX_BOX_CELLS cells.
     """
     check_type(node_set, NodeSet)
-    if not isinstance(tol, numbers.Real) or not (
-            0 <= tol <= sys.float_info.max):
-        raise InvalidParameter(f"tol must be a finite real >= 0, got {tol!r}")
+    if check_real(tol, "tol") < 0:
+        raise InvalidParameter(f"tol must be >= 0, got {tol!r}")
     spec = node_set.spec
-    box = integer_tuple(box, "box")
-    if len(box) != spec.dim or min(box) < 0:
-        raise InvalidParameter(f"box needs {spec.dim} entries >= 0: {box}")
+    box = integer_tuple(box, "box", spec.dim)
+    if min(box) < 0:
+        raise InvalidParameter(f"box entries must be >= 0, got {box}")
     check_box_size(box)
     sums = _transform_all_axes(_scatter_grid(node_set, node_set.weights))
     ks = [np.arange(b + 1) % (2 * mj) for b, mj in zip(box, spec.m)]

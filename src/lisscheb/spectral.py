@@ -17,8 +17,8 @@ from typing import Tuple
 import numpy as np
 
 from .congruence import integer_tuple
-from .errors import InvalidParameter, NotInGammaSet
-from .nodes import NodeSpec, check_box_size, check_spec, int_tuples
+from .errors import InvalidParameter, NotInGammaSet, check_type
+from .nodes import NodeSpec, check_box_size, int_tuples
 from .nodes import spec_cached
 
 SpectralIndex = Tuple[int, ...]
@@ -61,13 +61,19 @@ class GammaSet:
         first, which keeps an entry outside the box outside and makes it
         fit int64.  Members are found in a box grid of positions, which
         build_gamma's sets keep and any other set builds on each call.
-        Raises InvalidParameter for rows that are not an (M, d) array.
+        Raises InvalidParameter for rows that are not an (M, d) array of
+        integers; an integer dtype is checked once, any other entry by entry.
         """
         dims = np.array(self.spec.m) + 1
-        rows = np.asarray(rows)
+        try:
+            rows = np.asarray(rows)
+        except ValueError:  # ragged rows
+            rows = np.array(None)
         if rows.ndim != 2 or rows.shape[1] != len(dims):
             raise InvalidParameter(f"rows form an array of shape {rows.shape},"
                                    f" expected (M, {len(dims)})")
+        if rows.dtype.kind not in "iu":
+            integer_tuple(rows.flat, "row")
         rows = rows.clip(-1, dims.max()).astype(np.int64)
         inside = ((rows >= 0) & (rows < dims)).all(axis=1)
         grid = self._grid if "_grid" in vars(self) else self._box_grid()
@@ -107,7 +113,7 @@ def build_gamma(spec: NodeSpec) -> GammaSet:
     its arrays and box grid counted against the budget it shares with node
     lookups; a set over the budget is returned but not kept.
     """
-    check_spec(spec)
+    check_type(spec, NodeSpec)
     return spec_cached("gamma", spec, _new_gamma)
 
 
@@ -159,10 +165,9 @@ def involution(m: Tuple[int, ...], gamma: SpectralIndex) -> SpectralIndex:
     an m or gamma that is not integers, a gamma not as long as m, or an
     m_i below 1.
     """
-    m, gamma = integer_tuple(m, "m"), integer_tuple(gamma, "gamma")
-    if not gamma or len(gamma) != len(m):
-        raise InvalidParameter(f"gamma {gamma} must have one entry per m_i")
-    if min(m) < 1:
+    m = integer_tuple(m, "m")
+    gamma = integer_tuple(gamma, "gamma", len(m))
+    if not m or min(m) < 1:
         raise InvalidParameter(f"m entries must be at least 1, got {m}")
     k = 0
     for i in range(1, len(gamma)):

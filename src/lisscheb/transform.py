@@ -26,7 +26,7 @@ from .congruence import integer_tuple
 from .errors import DomainViolation, IndexOutOfRange, InvalidParameter
 from .errors import NotInGammaSet, SpecMismatch, check_type
 from .nodes import MultiIndex, NodeSet, NodeSpec, _cos_table, build_node_set
-from .nodes import check_spec, chi_tables
+from .nodes import chi_tables
 from .spectral import GammaSet, SpectralIndex, build_gamma
 from .trig import cos_pi_ratio
 
@@ -261,10 +261,8 @@ def alias_integral(spec: NodeSpec, gamma: SpectralIndex) -> int:
     (-1)^(sum h_i kappa_i), 1 for the standard family (kappa = 0).  Raises
     InvalidParameter for a gamma that is not d integers.
     """
-    check_spec(spec)
-    gamma = integer_tuple(gamma, "gamma")
-    if len(gamma) != spec.dim:
-        raise InvalidParameter(f"gamma {gamma} must have {spec.dim} entries")
+    check_type(spec, NodeSpec)
+    gamma = integer_tuple(gamma, "gamma", spec.dim)
     hs = []
     for g, mi in zip(gamma, spec.m):
         q, r = divmod(g, mi)

@@ -55,15 +55,15 @@ def test_general_curve_requires_integer_frequencies(q):
     ((0.0, 0.0), (1.0, True), "integers"),
     ((0.0, 0.0), (1, True), "integers"),
     ((0.0, 0.0), (1, 1.0), "integers"),
-    (("a", None), (1, 1), "finite reals"),
-    ((0.0, None), (1, 1), "finite reals"),
-    ((0.0, math.nan), (1, 1), "finite reals"),
-    ((-math.inf, 0.0), (1, 1), "finite reals"),
-    ((0.0, 10**400), (1, 1), "finite reals"),
-    ((0.0, 1j), (1, 1), "finite reals"),
-    ((True, 0.0), (1, 1), "finite reals"),
+    (("a", None), (1, 1), "finite real"),
+    ((0.0, None), (1, 1), "finite real"),
+    ((0.0, math.nan), (1, 1), "finite real"),
+    ((-math.inf, 0.0), (1, 1), "finite real"),
+    ((0.0, 10**400), (1, 1), "finite real"),
+    ((0.0, 1j), (1, 1), "finite real"),
+    ((True, 0.0), (1, 1), "finite real"),
     (0.5, (1, 1), "sequence"),
-    ((0.0,), (1, 1), "equal length"),
+    ((0.0,), (1, 1), "phases must have 2 entries"),
 ])
 def test_general_curve_checks_phases_and_signs(alpha, u, match):
     with pytest.raises(InvalidParameter, match=match):
@@ -80,8 +80,14 @@ def test_general_curve_keeps_plain_numbers():
 
 
 def test_lc_curve_rejects_bad_parameters():
-    with pytest.raises(InvalidParameter, match="dimension"):
+    with pytest.raises(InvalidParameter, match="kappa must have 2 entries"):
         LCCurve(n=N53, epsilon=1, kappa=(0,), u=(1, 1))
+    # An array epsilon made `epsilon not in (1, 2)` raise a bare ValueError.
+    for epsilon in (np.array([[0.5, 0.0]]), np.array([1, 2]), True, 1.0):
+        with pytest.raises(InvalidParameter, match="epsilon entries"):
+            LCCurve(n=N53, epsilon=epsilon, kappa=(0, 0), u=(1, 1))
+    assert LCCurve(n=N53, epsilon=np.int64(2), kappa=(0, 1), u=(1, 1)) == (
+        LCCurve(n=N53, epsilon=2, kappa=(0, 1), u=(1, 1)))
     with pytest.raises(InvalidParameter, match="signs"):
         LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 2))
     with pytest.raises(InvalidParameter, match="integers"):
@@ -326,7 +332,7 @@ def test_sample_curve_errors():
 ])
 def test_sample_curve_rejects_non_finite_range(t_range):
     c = LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 1))
-    with pytest.raises(InvalidRange, match="not finite"):
+    with pytest.raises(InvalidRange, match="finite real"):
         sample_curve(c, 10, t_range)
 
 
@@ -335,14 +341,14 @@ def test_sample_curve_rejects_non_finite_range(t_range):
 )
 def test_lc_eval_rejects_a_parameter_that_is_not_finite(t):
     c = LCCurve(n=N53, epsilon=1, kappa=(0, 0), u=(1, 1))
-    with pytest.raises(InvalidRange, match="not finite"):
+    with pytest.raises(InvalidRange, match="finite real"):
         lc_eval(c, t)
 
 
 @pytest.mark.parametrize("t", [math.nan, -math.inf, 1e308, None, 1j])
 def test_general_eval_rejects_a_parameter_that_is_not_finite(t):
     c = GeneralCurve(q=(1, 2), alpha=(0.0, 0.0), u=(1, 1))
-    with pytest.raises(InvalidRange, match="not finite"):
+    with pytest.raises(InvalidRange, match="finite real"):
         general_eval(c, t)
 
 

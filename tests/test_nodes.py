@@ -320,7 +320,7 @@ def test_g_index_forced_by_even_entry():
 
 
 def test_node_spec_rejects_bad_kappa():
-    with pytest.raises(InvalidParameter, match="dimension"):
+    with pytest.raises(InvalidParameter, match="kappa must have 2 entries"):
         NodeSpec(n=N53, kappa=(0, 1, 2))
     with pytest.raises(InvalidParameter, match="integers"):
         NodeSpec(n=N53, kappa=(0.5, 1))
@@ -501,6 +501,7 @@ def test_node_set_fields_are_frozen():
     (lambda p, spec: expansion_eval(p, np.array([[0.1 + 1j, 0.2]])), 0),
     (lambda p, spec: expansion_eval(p, 0.5), 0),
     (lambda p, spec: expansion_eval(p, None), 0),
+    (lambda p, spec: expansion_eval(p, {(0, 0): 1.0}), 0),  # not a point
     (lambda p, spec: expansion_eval(p, [[0.5, -0.25], [None, 0.1]]), 1),
 ])
 def test_non_real_coordinates_raise_domain_violation(call, row):

@@ -515,12 +515,30 @@ def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
     np.zeros(2, int),
     np.zeros((2, 2, 2), int),
     np.zeros((0,), int),
+    [[1, 2], [3]],  # ragged
 ])
 def test_positions_rejects_rows_that_are_not_an_m_by_d_array(rows):
     gs = build_gamma(NodeSpec(n=(5, 3)))
     with pytest.raises(InvalidParameter, match=r"expected \(M, 2\)"):
         gs.positions(rows)
     assert gs.positions(np.zeros((0, 2), int)).shape == (0,)
+
+
+@pytest.mark.parametrize("rows", [
+    # Cast to int64 these were (0, 0) and (1, 0), members of the set.
+    np.array([[0.5, 0.0], [1.9, 0.0]]),
+    np.array([[True, False]]),
+    np.array([[1, 0.5]], dtype=object),
+    np.array([[1, True]], dtype=object),
+    np.array([["1", "0"]]),
+])
+def test_positions_rejects_rows_that_are_not_integers(rows):
+    gs = build_gamma(NodeSpec(n=(5, 3)))
+    with pytest.raises(InvalidParameter, match="row entries must be integers"):
+        gs.positions(rows)
+    for dtype in (np.int8, np.uint8, np.int32, object):
+        rows = np.array([[0, 0], [1, 0], [9, 9]], dtype=dtype)
+        assert gs.positions(rows).tolist() == [0, 2, -1]
 
 
 @pytest.mark.parametrize("m", [(0, 5), (-5, 3), (5, 0)])

@@ -117,31 +117,49 @@ assert want <= names, sorted(want - names)
 def test_benchmark_layers_are_observed():
     # perfbench/run.py reports a per-layer metric only when its span was
     # recorded or its counter is above 0 in a traced pass, and
-    # perfbench/smoke.py fails otherwise.  After a warm-up, as after the
-    # benchmark's set-up, one interpolate, integrate and expansion_eval must
-    # observe every layer, including the lazy lookup and the cos_pi_ratio
-    # calls that a cache could remove.
+    # perfbench/smoke.py fails otherwise.  As run.py does, each workload of
+    # BENCHMARK.json sets up and runs a pass untraced; then, traced, each
+    # sets up again, clears the counts and runs pass 0.  Each traced set-up
+    # and pass must observe every layer, including the lazy lookup and the
+    # cos_pi_ratio calls that a cache could remove, and check no wrong
+    # output.  BENCHMARK.json must list the per-layer metrics run.py reports.
     script = """
-import sys
+import atexit, json, os, shutil, sys, tempfile
+from pathlib import Path
 sys.path.insert(0, "perfbench")
-import lisscheb, run, tracing
-from lisscheb import interp, quad
-from lisscheb.nodes import NodeSpec, build_node_set
-from lisscheb.transform import SampleVector
-spec = NodeSpec(n=lisscheb.validate_pairwise_coprime((5, 3)))
-h = SampleVector(spec, dict.fromkeys(build_node_set(spec).lookup, 1.0))
-def once():
-    interp.expansion_eval(interp.interpolate(h), [[0.5, -0.25]])
-    quad.integrate(h)
-once()
+import run
+os.environ.update(dict.fromkeys(run.THREAD_VARS, "1"))
+import numpy as np
+import lisscheb, tracing
+from workloads import WORKLOADS, PassRecord
+bench = json.loads(Path("BENCHMARK.json").read_text())
+reported = ([name for name, _, _ in run.LAYER_TIMES]
+            + [name for name, _ in run.LAYER_COUNTS] + ["trace.overhead_pct"])
+assert [m["name"] for m in bench["per_layer"]] == reported, reported
+names = [w["name"] for w in bench["workloads"]]
+tmp = Path(tempfile.mkdtemp())
+atexit.register(shutil.rmtree, tmp, True)
+def set_up(name):
+    (tmp / name).mkdir(exist_ok=True)
+    return WORKLOADS[name].setup(np.random.default_rng(1), tmp / name)
+def pass_0(name, state):
+    rec = PassRecord()
+    WORKLOADS[name].run_pass(state, 0, rec)
+    assert rec.attempted and not rec.failed, (name, rec.failed)
+for name in names:
+    pass_0(name, set_up(name))
 tracer = tracing.install(lisscheb)
-once()
-names = {span[2] for span in tracer.spans}
-missing = {span for _, span, _ in run.LAYER_TIMES} - names
-assert not missing, sorted(missing)
-counts = tracing.pass_counts(tracer.counts)
-unseen = [name for name, _ in run.LAYER_COUNTS if not counts[name]]
-assert not unseen, unseen
+for name in names:
+    first = len(tracer.spans)
+    state = set_up(name)
+    tracer.counts.clear()
+    pass_0(name, state)
+    seen = {span[2] for span in tracer.spans[first:]}
+    missing = {span for _, span, _ in run.LAYER_TIMES} - seen
+    assert not missing, (name, sorted(missing))
+    counts = tracing.pass_counts(tracer.counts)
+    unseen = [metric for metric, _ in run.LAYER_COUNTS if not counts[metric]]
+    assert not unseen, (name, unseen)
 """
     _run_in_checkout(script)
 
