@@ -72,16 +72,16 @@ def as_tuple(values, what: str, length: Optional[int] = None) -> Tuple:
 
 
 def check_real(value, what: str, error: type = InvalidParameter) -> float:
-    """value as a float; error (InvalidParameter by default) unless it is a
-    real number, not a bool, that a float holds finitely.  Python floats
-    keep numpy scalars from warning on overflow."""
+    """value as a float; error unless it is a real number, not a bool, that
+    a float holds finitely.  Floats keep numpy scalars from warning."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         x = float(value) if real else math.nan
     except OverflowError:  # an int past the float range
         x = math.nan
     if not math.isfinite(x):
-        raise error(f"{what} must be a finite real, got {reprlib.repr(value)}")
+        raise error(
+            f"{what} must be one of the finite reals, got {reprlib.repr(value)}")
     return x
 
 

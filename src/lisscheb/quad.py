@@ -64,7 +64,7 @@ def exactness_table(
     spec = node_set.spec
     box = integer_tuple(box, "box", spec.dim)
     if min(box) < 0:
-        raise InvalidParameter(f"box entries must be >= 0, got {box}")
+        raise InvalidParameter(f"box needs {spec.dim} entries >= 0: {box}")
     check_box_size(box)
     sums = _transform_all_axes(_scatter_grid(node_set, node_set.weights))
     ks = [np.arange(b + 1) % (2 * mj) for b, mj in zip(box, spec.m)]

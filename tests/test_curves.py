@@ -55,13 +55,13 @@ def test_general_curve_requires_integer_frequencies(q):
     ((0.0, 0.0), (1.0, True), "integers"),
     ((0.0, 0.0), (1, True), "integers"),
     ((0.0, 0.0), (1, 1.0), "integers"),
-    (("a", None), (1, 1), "finite real"),
-    ((0.0, None), (1, 1), "finite real"),
-    ((0.0, math.nan), (1, 1), "finite real"),
-    ((-math.inf, 0.0), (1, 1), "finite real"),
-    ((0.0, 10**400), (1, 1), "finite real"),
-    ((0.0, 1j), (1, 1), "finite real"),
-    ((True, 0.0), (1, 1), "finite real"),
+    (("a", None), (1, 1), "finite reals"),
+    ((0.0, None), (1, 1), "finite reals"),
+    ((0.0, math.nan), (1, 1), "finite reals"),
+    ((-math.inf, 0.0), (1, 1), "finite reals"),
+    ((0.0, 10**400), (1, 1), "finite reals"),
+    ((0.0, 1j), (1, 1), "finite reals"),
+    ((True, 0.0), (1, 1), "finite reals"),
     (0.5, (1, 1), "sequence"),
     ((0.0,), (1, 1), "phases must have 2 entries"),
 ])

@@ -130,7 +130,7 @@ def test_exactness_table_flags_a_wrong_rule():
     [
         ([9], InvalidParameter, "box must have 2 entries"),
         ([9, 5, 3], InvalidParameter, "box must have 2 entries"),
-        ([-1, 5], InvalidParameter, "entries must be >= 0"),
+        ([-1, 5], InvalidParameter, "2 entries >= 0"),
         ([9.5, 5], InvalidParameter, "must be integers, got 9.5"),
         ([True, 5], InvalidParameter, "must be integers, got True"),
         ([10**30, 5], OverflowDimension, "exceeds the limit"),
