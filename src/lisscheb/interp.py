@@ -17,7 +17,7 @@ import numpy as np
 
 from .congruence import integer_tuple
 from .errors import IndexOutOfRange, SpecMismatch, check_real, check_type
-from .nodes import MultiIndex, NodeSpec, build_node_set, check_points
+from .nodes import MultiIndex, NodeSpec, cached_node_set, check_points
 from .spectral import SpectralIndex, build_gamma
 from .transform import ChebExpansion, SampleVector, chi_matrix, coefficients_fast
 
@@ -144,7 +144,7 @@ def fundamental(spec: NodeSpec, i: MultiIndex) -> ChebExpansion:
     index entry that is not an integer.
     """
     i = integer_tuple(i, "node index")
-    node_set = build_node_set(spec)
+    node_set = cached_node_set(spec)
     pos = node_set.lookup.get(i)
     if pos is None:
         raise IndexOutOfRange(f"{i} is not in the index set")

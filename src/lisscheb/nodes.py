@@ -43,8 +43,8 @@ MAX_BOX_CELLS = 1 << 24
 
 _DOMAIN_SLACK = 1e-12
 
-# Γ sets and node lookups as (value, bytes) by (kind, spec), least recently
-# used first: a (513, 512) lookup takes 20 MB, so count bytes.
+# Γ sets and node sets with their lookups as (value, bytes) by (kind, spec),
+# least recently used first: a (513, 512) lookup takes 20 MB, so count bytes.
 SPEC_CACHE_BYTES = 64 << 20
 _cache: "OrderedDict[Tuple[str, NodeSpec], Tuple[object, int]]" = OrderedDict()
 _cache_bytes = 0
@@ -150,12 +150,12 @@ class NodeSet:
     @property
     def lookup(self) -> Mapping[MultiIndex, int]:
         """Read-only map of index tuples to positions.  build_node_set's
-        node sets share their spec's; any other set builds its own."""
+        node sets share cached_node_set's; any other set builds its own."""
         if "_lookup" not in vars(self):
             if vars(self).get("_built"):
-                lookup = spec_cached("lookup", self.spec, _new_lookup)
+                lookup = cached_node_set(self.spec).lookup
             else:
-                lookup = _new_lookup(self.spec, self.indices)[0]
+                lookup = _new_lookup(self.indices)[0]
             object.__setattr__(self, "_lookup", lookup)
         return self._lookup
 
@@ -163,10 +163,9 @@ class NodeSet:
         return {k: v for k, v in vars(self).items() if k != "_lookup"}
 
 
-def _new_lookup(spec: NodeSpec, indices: Optional[np.ndarray] = None):
-    """Rows of indices (by default the spec's nodes) mapped to positions,
-    read-only, and the bytes of the map, its key tuples and ints past 256."""
-    indices = _node_indices(spec) if indices is None else indices
+def _new_lookup(indices: np.ndarray):
+    """Rows of indices mapped to positions, read-only, and the bytes of the
+    map, its key tuples and ints past 256."""
     n = indices.shape[0]
     lookup = dict(zip(int_tuples(indices), range(n)))
     ints = max(n - 257, 0) + np.count_nonzero(indices > 256)
@@ -190,6 +189,29 @@ def spec_cached(kind: str, spec: NodeSpec, build):
             while _cache_bytes > SPEC_CACHE_BYTES:
                 _cache_bytes -= _cache.popitem(last=False)[1][1]
         return value
+
+
+def cached_node_set(spec: NodeSpec) -> NodeSet:
+    """build_node_set's set, shared while spec_cached keeps it, with read-only
+    arrays and a lookup counted in its bytes (its Node list is not)."""
+    check_type(spec, NodeSpec)
+    return spec_cached("node_set", spec, _new_cached_set)
+
+
+def _new_cached_set(spec: NodeSpec) -> Tuple[NodeSet, int]:
+    """A new set and its lookup, arrays read-only, and their bytes."""
+    ns = build_node_set(spec)
+    lookup, size = _new_lookup(ns.indices)
+    object.__setattr__(ns, "_lookup", lookup)
+    return ns, size + read_only_bytes(ns.indices, ns.points, ns.weights,
+                                      ns.parities)
+
+
+def read_only_bytes(*arrays: np.ndarray) -> int:
+    """Make the arrays read-only and return their total bytes."""
+    for array in arrays:
+        array.setflags(write=False)
+    return sum(array.nbytes for array in arrays)
 
 
 def _face_mask(indices: np.ndarray, m: Sequence[int]) -> np.ndarray:
@@ -217,8 +239,10 @@ def cgl_point(m: int, i: int) -> float:
 
 
 def _cos_table(m: int) -> np.ndarray:
-    """cos(k pi / m) for k < 2m, with exact angle reduction."""
-    return np.array([cos_pi_ratio(k, m) for k in range(2 * m)])
+    """cos(k pi / m) for k < 2m, with exact angle reduction.  Entry k > m
+    is entry 2m - k, as cos_pi_ratio reduces k first."""
+    half = np.array([cos_pi_ratio(k, m) for k in range(m + 1)])
+    return np.concatenate([half, half[m - 1 : 0 : -1]])
 
 
 def chi_tables(spec: NodeSpec) -> List[np.ndarray]:

@@ -19,7 +19,7 @@ import numpy as np
 from .congruence import integer_tuple
 from .errors import InvalidParameter, NotInGammaSet, check_type
 from .nodes import NodeSpec, check_box_size, int_tuples
-from .nodes import spec_cached
+from .nodes import read_only_bytes, spec_cached
 
 SpectralIndex = Tuple[int, ...]
 
@@ -111,7 +111,7 @@ def build_gamma(spec: NodeSpec) -> GammaSet:
 
     Equal specs get the same GammaSet while nodes.spec_cached keeps it,
     its arrays and box grid counted against the budget it shares with node
-    lookups; a set over the budget is returned but not kept.
+    sets; a set over the budget is returned but not kept.
     """
     check_type(spec, NodeSpec)
     return spec_cached("gamma", spec, _new_gamma)
@@ -121,10 +121,7 @@ def _new_gamma(spec: NodeSpec) -> Tuple[GammaSet, int]:
     """The spec's set with its box grid, all arrays read-only, and bytes."""
     gs = _enumerate_gamma(spec)
     object.__setattr__(gs, "_grid", gs._box_grid())
-    arrays = (gs.elements, gs.norm_sq, gs.e_counts, gs._grid)
-    for array in arrays:
-        array.setflags(write=False)
-    return gs, sum(array.nbytes for array in arrays)
+    return gs, read_only_bytes(gs.elements, gs.norm_sq, gs.e_counts, gs._grid)
 
 
 def _enumerate_gamma(spec: NodeSpec) -> GammaSet:
@@ -135,6 +132,8 @@ def _enumerate_gamma(spec: NodeSpec) -> GammaSet:
     bounds hold at most where every other entry is 0: at the special
     element (0, ..., 0, m_d), which is set.  np.argwhere lists the kept
     cells in lexicographic order; a stable sort by degree grades them.
+    The special element is the only one with gamma_d = m_d, so it comes
+    first among the elements of degree m_d.
     """
     check_box_size(spec.m)
     special = (0,) * (spec.dim - 1) + (spec.m[-1],)
@@ -142,13 +141,16 @@ def _enumerate_gamma(spec: NodeSpec) -> GammaSet:
     keep = _pairwise_keep(spec, np.ix_(*map(np.arange, widths)))
     keep[special] = True
     elements = np.argwhere(keep)
-    elements = elements[np.argsort(elements.sum(axis=1), kind="stable")]
+    # Sums of columns and np.take: numpy's row-wise reductions and fancy
+    # row indexing take several times as long.
+    degree = sum(elements.T)
+    elements = np.take(elements, np.argsort(degree, kind="stable"), axis=0)
 
-    special_pos = int(np.nonzero((elements == special).all(axis=1))[0][0])
+    special_pos = int(np.count_nonzero(degree < spec.m[-1]))
     # Support counts e and squared norms 2^(f - e), f = #{j: gamma_j = n_j}
     # less 1 (at least 0); 1 for the special row.
-    e_counts = (elements > 0).sum(axis=1).astype(np.int64)
-    at_n = (elements == np.array(spec.n.entries, dtype=np.int64)).sum(axis=1)
+    e_counts = sum(col > 0 for col in elements.T).astype(np.int64)
+    at_n = sum(col == nj for col, nj in zip(elements.T, spec.n.entries))
     f_counts = np.maximum(at_n - 1, 0).astype(np.int64)
     norm = np.exp2((f_counts - e_counts).astype(np.float64))
     norm[special_pos] = 1.0

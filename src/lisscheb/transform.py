@@ -26,7 +26,7 @@ from .congruence import integer_tuple
 from .errors import DomainViolation, IndexOutOfRange, InvalidParameter
 from .errors import NotInGammaSet, SpecMismatch, check_type
 from .nodes import MultiIndex, NodeSet, NodeSpec, _cos_table, build_node_set
-from .nodes import chi_tables
+from .nodes import cached_node_set, chi_tables
 from .spectral import GammaSet, SpectralIndex, build_gamma
 from .trig import cos_pi_ratio
 
@@ -245,9 +245,9 @@ def aligned_values(
 
 
 def discrete_integral(h: SampleVector) -> Scalar:
-    """The weighted sum over all nodes, sum_i w_i h(i)."""
+    """The weighted sum over all nodes, sum_i w_i h(i), in node-set order."""
     check_type(h, SampleVector)
-    node_set = build_node_set(h.spec)
+    node_set = cached_node_set(h.spec)
     vals = aligned_values(h, node_set)
     total = np.dot(node_set.weights, vals)
     return complex(total) if np.iscomplexobj(vals) else float(total)

@@ -476,14 +476,33 @@ def test_output_is_the_same_on_a_cold_and_a_warm_cache(
     for name, argv in commands.items():
         written = []
         for warm in (False, True):
-            if not warm:  # Γ sets and lookups all dropped
+            if not warm:  # Γ sets and node sets all dropped
                 monkeypatch.setattr(nodes, "_cache", OrderedDict())
                 monkeypatch.setattr(nodes, "_cache_bytes", 0)
             assert run(argv + ["--out", str(out)]) == 0
             written.append(out.read_bytes())
         assert written[0] == written[1], name
-        assert ("lookup" if name != "eval" else "gamma", spec) in nodes._cache
+        assert ("node_set" if name != "eval" else "gamma", spec) in nodes._cache
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("nv, kappa", [((129, 128), None), ((9, 7, 4), (1, 0, 0))])
+def test_quad_writes_the_node_order_dot_product(tmp_path, monkeypatch, nv, kappa):
+    # Sample files laid out as the benchmark's: one row per node in node
+    # order, values in 17 digits.  The output is sum_i w_i h(i) summed in
+    # that order, on a cold and a warm cache.
+    spec = NodeSpec(n=validate_pairwise_coprime(nv), kappa=kappa)
+    fn = lambda x: math.sin(2 * x[0] + 1) * math.cos(5 * x[-1]) + 0.125
+    data, ns = _write_node_data(tmp_path, spec, fn)
+    values = [float("%.17g" % fn(point)) for point in ns.points.tolist()]
+    want = ("%.17g\n" % np.dot(ns.weights, values)).encode()
+    out = tmp_path / "out.txt"
+    monkeypatch.setattr(nodes, "_cache", OrderedDict())
+    monkeypatch.setattr(nodes, "_cache_bytes", 0)
+    for _ in range(2):
+        argv = ["quad", "--data", str(data), "--out", str(out)]
+        assert run(argv + _spec_argv(spec)) == 0
+        assert out.read_bytes() == want
 
 
 def test_eval_empty_points_file_exit_1(tmp_path, capsys):

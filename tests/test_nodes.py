@@ -23,7 +23,7 @@ from lisscheb.errors import (
 from lisscheb.interp import ChebExpansion, cheb_T_eval, expansion_eval
 from lisscheb.interp import expansion_inner_product, fundamental, interpolate
 from lisscheb.interp import kernel_eval
-from lisscheb import quad, transform, verify
+from lisscheb import nodes, quad, transform, verify
 from lisscheb.nodes import (
     MAX_BOX_CELLS,
     Node,
@@ -38,6 +38,7 @@ from lisscheb.nodes import (
     variety_membership,
 )
 from lisscheb.spectral import build_gamma, norm_sq
+from lisscheb.trig import cos_pi_ratio
 from lisscheb.verify import run_suites
 
 N53 = validate_pairwise_coprime((5, 3))
@@ -606,3 +607,9 @@ def test_variety_membership_rejects_a_bad_tolerance(tol):
     with pytest.raises(InvalidParameter, match="tol must be"):
         variety_membership(NodeSpec(n=N53), (1.0, 1.0), tol=tol)
     assert variety_membership(NodeSpec(n=N53), (1.0, 1.0), tol=0)
+
+
+def test_cos_table_is_the_per_k_cos_pi_ratio_list():
+    for m in range(1, 600):
+        want = np.array([cos_pi_ratio(k, m) for k in range(2 * m)])
+        assert nodes._cos_table(m).tobytes() == want.tobytes(), m

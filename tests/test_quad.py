@@ -2,16 +2,18 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from strategies import small_specs
 
-from lisscheb import transform
+from lisscheb import interp, nodes, transform
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import InvalidParameter, OverflowDimension
-from lisscheb.nodes import NodeSpec, build_node_set
+from lisscheb.interp import fundamental
+from lisscheb.nodes import NodeSpec, build_node_set, int_tuples
 from lisscheb.quad import exactness_table, integrate
 from lisscheb.transform import (
     SampleVector,
@@ -31,6 +33,29 @@ AUDIT_SPECS = [
     NodeSpec(n=validate_pairwise_coprime((9, 7)), kappa=(0, 1)),
     NodeSpec(n=validate_pairwise_coprime((7, 5, 3, 2)), kappa=(0, 1, 0, 1)),
 ]
+
+# The specs of the benchmark's gated workloads.
+BENCHMARK_SPECS = [
+    NodeSpec(n=validate_pairwise_coprime(nv), kappa=kappa)
+    for nv, kappa in [
+        ((13, 11, 7, 5), None), ((11, 9, 7, 5, 2), None),
+        ((7, 5, 3, 2), (0, 1, 0, 1)), ((9, 7, 4), (1, 0, 0)),
+        ((31, 29, 16), None), ((7, 5, 3, 2), None), ((17, 16), None),
+        ((9, 7), (0, 1)), ((129, 128), None),
+    ]
+]
+
+
+def _random_samples(spec, seed, complex_values=False):
+    """Seeded samples on every node, keyed in a shuffled order."""
+    ns = build_node_set(spec)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(len(ns))
+    if complex_values:
+        values = values + 1j * rng.standard_normal(len(ns))
+    keys = list(int_tuples(ns.indices))
+    order = rng.permutation(len(ns)).tolist()
+    return SampleVector(spec, {keys[k]: values[k].item() for k in order})
 
 
 def loop_rule(spec, box):
@@ -259,3 +284,66 @@ def test_exactness_table_takes_a_finite_tolerance(tol):
     ns = build_node_set(NodeSpec(n=(5, 3)))
     # ok is |rule - target| < tol, so a tolerance of 0 passes nothing.
     assert exactness_table(ns, [2, 2], tol=tol).ok[0, 0] == (tol > 0)
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("spec", BENCHMARK_SPECS)
+def test_integrate_is_the_node_order_dot_product(
+    empty_cache, spec, complex_values
+):
+    # The rule sums w_i h(i) in node-set order, on a cold and a warm cache.
+    h = _random_samples(spec, 5, complex_values)
+    ns = build_node_set(spec)
+    want = np.dot(ns.weights, transform.aligned_values(h, ns))
+    for _ in range(2):
+        got = integrate(h)
+        assert type(got) is (complex if complex_values else float)
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+def test_warm_integrate_and_fundamental_build_no_node_set(
+    monkeypatch, empty_cache
+):
+    spec = NodeSpec(n=validate_pairwise_coprime((9, 7, 4)), kappa=(1, 0, 0))
+    h = _random_samples(spec, 1)
+    node = next(int_tuples(build_node_set(spec).indices[5:6]))
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return build_node_set(s)
+
+    for module in (nodes, transform, interp):
+        monkeypatch.setattr(module, "build_node_set", counted, raising=False)
+    want = integrate(h), fundamental(spec, node).coeffs
+    assert calls == [spec]  # the warm-up builds the spec's set once
+    calls.clear()
+    for _ in range(3):
+        assert integrate(h) == want[0]
+        assert np.array_equal(fundamental(spec, node).coeffs, want[1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("nv, kappa", [
+    ((129, 128), None), ((31, 29, 16), None), ((11, 9, 7, 5, 2), None),
+    ((257, 256), (0, 1)),
+])
+def test_warm_integrate_peaks_at_32_bytes_per_node(nv, kappa):
+    # The aligned samples, their positions and the value list; the node set
+    # and its lookup come from the cache.
+    h = _random_samples(NodeSpec(n=validate_pairwise_coprime(nv), kappa=kappa), 2)
+    integrate(h)
+    tracemalloc.start()
+    try:
+        integrate(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * len(h.values)
+
+
+@pytest.mark.parametrize("spec", [[5, 3], {}, None, (5, 3), "5,3"])
+def test_integrate_checks_the_spec_before_the_cache(spec):
+    # An unhashable spec must not reach the cache's dict as a key.
+    with pytest.raises(InvalidParameter, match="expected a NodeSpec"):
+        integrate(SampleVector(spec=spec, values={}))

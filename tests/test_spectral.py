@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ from strategies import small_specs
 from lisscheb.congruence import validate_pairwise_coprime
 from lisscheb.errors import InvalidParameter, NotInGammaSet
 from lisscheb.nodes import NodeSet, NodeSpec, build_node_set, int_tuples
-from lisscheb import nodes, spectral, transform
+from lisscheb import nodes, quad, spectral, transform
+from lisscheb.interp import fundamental
 from lisscheb.spectral import (
     build_gamma,
     involution,
@@ -284,6 +286,13 @@ def test_gamma_set_matches_definition(spec):
     assert len(gs) == len(want) == len(build_node_set(spec))
     assert list(gs) == want
     assert gs.special == want[gs.special_pos]
+    # Support counts e, and squared norms 2^(f - e) with f one less than
+    # the entries equal to n_j (at least 0), 1 at the special element.
+    e = [sum(v > 0 for v in g) for g in want]
+    f = [max(sum(v == nj for v, nj in zip(g, n)) - 1, 0) for g in want]
+    norm = [2.0 ** (fj - ej) for ej, fj in zip(e, f)]
+    norm[gs.special_pos] = 1.0
+    assert gs.e_counts.tolist() == e and gs.norm_sq.tolist() == norm
 
 
 def _spec(n, kappa=None):
@@ -372,7 +381,15 @@ def test_least_recently_used_set_is_dropped(monkeypatch, empty_cache):
 
 
 def _lookup_size(spec):
-    return nodes._new_lookup(spec)[1]
+    return nodes._new_lookup(build_node_set(spec).indices)[1]
+
+
+def _node_set_size(spec):
+    """The bytes cached_node_set counts for a spec: the node set's arrays
+    and its lookup."""
+    ns = build_node_set(spec)
+    arrays = (ns.indices, ns.points, ns.weights, ns.parities)
+    return sum(array.nbytes for array in arrays) + _lookup_size(spec)
 
 
 def test_least_recently_used_entry_of_any_kind_is_dropped(
@@ -381,26 +398,27 @@ def test_least_recently_used_entry_of_any_kind_is_dropped(
     a, b, c = _spec((5, 3)), _spec((7, 4)), _spec((5, 3), (0, 1))
     sizes = {
         ("gamma", a): _nbytes(spectral._enumerate_gamma(a)),
-        ("lookup", b): _lookup_size(b),
+        ("node_set", b): _node_set_size(b),
         ("gamma", c): _nbytes(spectral._enumerate_gamma(c)),
     }
-    # Room for a's set, b's lookup and c's set but one byte.
-    budget = sizes["gamma", a] + sizes["lookup", b] + sizes["gamma", c] - 1
+    # Room for a's set, b's node set and c's set but one byte.
+    budget = sizes["gamma", a] + sizes["node_set", b] + sizes["gamma", c] - 1
     monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", budget)
     first_a = build_gamma(a)
     first_b = build_node_set(b).lookup
+    assert nodes.cached_node_set(b).lookup is first_b
     assert build_gamma(a) is first_a  # a is now the most recently used
-    assert list(nodes._cache) == [("lookup", b), ("gamma", a)]
-    # Over the budget: b's lookup goes, a's set stays.
+    assert list(nodes._cache) == [("node_set", b), ("gamma", a)]
+    # Over the budget: b's node set goes, a's set stays.
     build_gamma(c)
     assert list(nodes._cache) == [("gamma", a), ("gamma", c)]
     assert nodes._cache_bytes == sizes["gamma", a] + sizes["gamma", c]
     assert build_gamma(a) is first_a
-    # And a lookup pushes out the least recently used set, c's.
+    # And a node set pushes out the least recently used set, c's.
     again = build_node_set(b).lookup
     assert again is not first_b and again == first_b
-    assert list(nodes._cache) == [("gamma", a), ("lookup", b)]
-    assert nodes._cache_bytes == sizes["gamma", a] + sizes["lookup", b]
+    assert list(nodes._cache) == [("gamma", a), ("node_set", b)]
+    assert nodes._cache_bytes == sizes["gamma", a] + sizes["node_set", b]
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -438,16 +456,43 @@ def test_gamma_grid_is_kept_with_its_set(empty_cache):
 
 def test_lookup_over_the_budget_is_returned_not_kept(monkeypatch, empty_cache):
     spec = _spec((31, 29, 16))
-    monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", _lookup_size(spec) - 1)
+    monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", _node_set_size(spec) - 1)
     ns, other = build_node_set(spec), build_node_set(spec)
     lookup = ns.lookup
     assert len(lookup) == 4080
     assert other.lookup is not lookup and other.lookup == lookup
     assert ns.lookup is lookup  # kept on its node set
+    assert nodes.cached_node_set(spec) is not nodes.cached_node_set(spec)
     assert list(nodes._cache) == [] and nodes._cache_bytes == 0
     # A Γ under the budget is still kept.
     gs = build_gamma(spec)
     assert list(nodes._cache) == [("gamma", spec)] and build_gamma(spec) is gs
+
+
+@pytest.mark.parametrize("room", ["gamma", "none"])
+def test_values_hold_when_the_budget_keeps_no_node_set(
+    monkeypatch, empty_cache, room
+):
+    # A budget below one spec's node set and lookup: integrate and the
+    # fundamentals build the set on each call and give the same values.
+    spec = _spec((17, 16))
+    ns = build_node_set(spec)
+    h = transform.SampleVector(spec, {key: float(key[0] - key[1])
+                                      for key in int_tuples(ns.indices)})
+    node = next(int_tuples(ns.indices[7:8]))
+    want = quad.integrate(h), fundamental(spec, node).coeffs
+    gamma_size = _nbytes(spectral._enumerate_gamma(spec))
+    assert gamma_size < _node_set_size(spec)
+    budget = _node_set_size(spec) - 1 if room == "gamma" else gamma_size - 1
+    monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", budget)
+    monkeypatch.setattr(nodes, "_cache", OrderedDict())
+    monkeypatch.setattr(nodes, "_cache_bytes", 0)
+    for _ in range(2):
+        assert quad.integrate(h) == want[0]
+        assert np.array_equal(fundamental(spec, node).coeffs, want[1])
+    kept = nodes._cache.items()
+    assert list(nodes._cache) == ([("gamma", spec)] if room == "gamma" else [])
+    assert nodes._cache_bytes == sum(size for _, (_, size) in kept) <= budget
 
 
 def test_lookup_bytes_count_what_tracemalloc_sees():
@@ -464,14 +509,22 @@ def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
     fresh = {s: spectral._enumerate_gamma(s) for s in specs}
     lookups = {s: dict(zip(int_tuples(fresh_ns.indices), range(len(fresh_ns))))
                for s, fresh_ns in ((s, build_node_set(s)) for s in specs)}
+    samples = {s: transform.SampleVector(s, {key: float(sum(key)) ** 0.5
+                                              for key in lookups[s]})
+               for s in specs}
+    integrals = {s: quad.integrate(samples[s]) for s in specs}
+    firsts = {s: next(iter(lookups[s])) for s in specs}
+    fundamentals = {s: fundamental(s, firsts[s]).coeffs for s in specs}
     sizes = {}
     for s in specs:
         sizes["gamma", s] = _nbytes(fresh[s])
-        sizes["lookup", s] = _lookup_size(s)
+        sizes["node_set", s] = _node_set_size(s)
     # Room for about two specs' entries, so threads keep evicting one
     # another's, of both kinds.
     budget = sum(sorted(sizes.values())[-4:])
     monkeypatch.setattr(nodes, "SPEC_CACHE_BYTES", budget)
+    monkeypatch.setattr(nodes, "_cache", OrderedDict())
+    monkeypatch.setattr(nodes, "_cache_bytes", 0)
     errors = []
 
     def work(k):
@@ -486,6 +539,11 @@ def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
                     or ns.lookup != lookups[spec]
                     or not np.array_equal(
                         gs.positions(fresh[spec].elements), np.arange(len(gs))
+                    )
+                    or quad.integrate(samples[spec]) != integrals[spec]
+                    or not np.array_equal(
+                        fundamental(spec, firsts[spec]).coeffs,
+                        fundamentals[spec],
                     )
                 ):
                     errors.append((k, i))
@@ -507,7 +565,7 @@ def test_cache_bookkeeping_holds_under_threads(monkeypatch, empty_cache):
     kept = nodes._cache.items()
     assert nodes._cache_bytes == sum(size for _, (_, size) in kept) <= budget
     assert all(sizes[key] == size for key, (_, size) in kept)
-    assert {kind for kind, _ in nodes._cache} <= {"gamma", "lookup"}
+    assert {kind for kind, _ in nodes._cache} <= {"gamma", "node_set"}
 
 
 @pytest.mark.parametrize("rows", [
