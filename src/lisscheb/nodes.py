@@ -241,8 +241,8 @@ def cgl_point(m: int, i: int) -> float:
 def _cos_table(m: int) -> np.ndarray:
     """cos(k pi / m) for k < 2m, with exact angle reduction.  Entry k > m
     is entry 2m - k, as cos_pi_ratio reduces k first."""
-    half = np.array([cos_pi_ratio(k, m) for k in range(m + 1)])
-    return np.concatenate([half, half[m - 1 : 0 : -1]])
+    half = [cos_pi_ratio(k, m) for k in range(m + 1)]
+    return np.array(half + half[m - 1 : 0 : -1])
 
 
 def chi_tables(spec: NodeSpec) -> List[np.ndarray]:
