@@ -487,7 +487,7 @@ def test_output_is_the_same_on_a_cold_and_a_warm_cache(
 
 
 @pytest.mark.parametrize("nv, kappa", [((129, 128), None), ((9, 7, 4), (1, 0, 0))])
-def test_quad_writes_the_node_order_dot_product(tmp_path, monkeypatch, nv, kappa):
+def test_quad_writes_the_node_order_dot_product(tmp_path, empty_cache, nv, kappa):
     # Sample files laid out as the benchmark's: one row per node in node
     # order, values in 17 digits.  The output is sum_i w_i h(i) summed in
     # that order, on a cold and a warm cache.
@@ -497,8 +497,6 @@ def test_quad_writes_the_node_order_dot_product(tmp_path, monkeypatch, nv, kappa
     values = [float("%.17g" % fn(point)) for point in ns.points.tolist()]
     want = ("%.17g\n" % np.dot(ns.weights, values)).encode()
     out = tmp_path / "out.txt"
-    monkeypatch.setattr(nodes, "_cache", OrderedDict())
-    monkeypatch.setattr(nodes, "_cache_bytes", 0)
     for _ in range(2):
         argv = ["quad", "--data", str(data), "--out", str(out)]
         assert run(argv + _spec_argv(spec)) == 0
